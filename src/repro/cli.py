@@ -459,34 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
         "auto)",
     )
     serve.add_argument(
-        "--replicas",
-        type=int,
-        default=1,
-        metavar="N",
-        help="storage replica count; N > 1 fans every journal write "
-        "and document through a quorum-replicated backend (default: "
-        "1, unreplicated)",
-    )
-    serve.add_argument(
-        "--write-quorum",
-        dest="write_quorum",
-        type=int,
-        default=None,
-        metavar="W",
-        help="replica acks required before a write is acknowledged "
-        "(default: a majority of --replicas)",
-    )
-    serve.add_argument(
-        "--read-quorum",
-        dest="read_quorum",
-        type=int,
-        default=None,
-        metavar="R",
-        help="replica replies required before a read is served "
-        "(default: replicas - W + 1, the smallest overlap with every "
-        "write set)",
-    )
-    serve.add_argument(
         "--request-timeout",
         dest="request_timeout",
         type=float,
@@ -938,9 +910,6 @@ def _run_serve(args, writer: OutputWriter) -> int:
             else None
         ),
         drain_timeout_s=args.drain_timeout,
-        replicas=args.replicas,
-        write_quorum=args.write_quorum,
-        read_quorum=args.read_quorum,
     )
     writer.set("host", config.host)
     writer.set("port", config.port)

@@ -207,48 +207,6 @@ class StorageError(ReproError):
         self.errno = errno
 
 
-class ReplicaUnavailableError(StorageError):
-    """A replica could not be reached through its transport.
-
-    Raised by :class:`repro.storage.remote.RemoteIO` when the simulated
-    network drops the operation, the replica is partitioned away, or
-    its process is down.  Carries the replica id so quorum accounting
-    and the per-replica circuit breakers know *which* leg failed.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        replica: str | None = None,
-        reason: str | None = None,
-        path: str | None = None,
-    ):
-        super().__init__(message, path=path)
-        self.replica = replica
-        self.reason = reason
-
-
-class QuorumError(StorageError):
-    """Too few replicas acknowledged an operation.
-
-    Raised by :class:`repro.storage.replicated.ReplicatedBackend` when
-    a write lands on fewer than W replicas or a read can gather fewer
-    than R replies.  ``acks`` and ``required`` carry the quorum
-    arithmetic for the error envelope and the metrics.
-    """
-
-    def __init__(
-        self,
-        message: str,
-        acks: int | None = None,
-        required: int | None = None,
-        path: str | None = None,
-    ):
-        super().__init__(message, path=path)
-        self.acks = acks
-        self.required = required
-
-
 class QuotaExceededError(ReproError):
     """A tenant exhausted its request quota.
 

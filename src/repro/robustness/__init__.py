@@ -60,7 +60,6 @@ from .faults import (
     FAULT_SCOPES,
     FAULT_SITES,
     IO_FAULT_SITES,
-    NET_FAULT_SITES,
     FaultPlan,
     FaultSpec,
     active_plan,
@@ -97,7 +96,6 @@ __all__ = [
     "FAULT_SCOPES",
     "FAULT_SITES",
     "IO_FAULT_SITES",
-    "NET_FAULT_SITES",
     "FailureInfo",
     "FaultPlan",
     "FaultSpec",

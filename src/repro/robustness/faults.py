@@ -71,28 +71,8 @@ IO_FAULT_SITES: tuple[str, ...] = (
     "io.fsync_lost",
 )
 
-#: Network-fault sites wired through the replica transport shim
-#: (:mod:`repro.storage.remote`).  Like the I/O sites, a firing spec
-#: does not merely raise: the transport *imitates the network* --
-#: ``net.drop`` loses one request, ``net.delay`` holds it for a
-#: deterministic pause on the injectable clock, ``net.dup`` delivers a
-#: write twice, ``net.partition`` cuts the replica off until the
-#: nemesis (or an operator) heals it, ``replica.down`` kills the
-#: replica process until restart, and ``replica.slow`` makes every
-#: subsequent delivery to that replica pay the delay.
-NET_FAULT_SITES: tuple[str, ...] = (
-    "net.drop",
-    "net.delay",
-    "net.partition",
-    "net.dup",
-    "replica.down",
-    "replica.slow",
-)
-
-#: Every instrumented site: engine, storage, and network alike.
-ALL_FAULT_SITES: tuple[str, ...] = (
-    FAULT_SITES + IO_FAULT_SITES + NET_FAULT_SITES
-)
+#: Every instrumented site, engine and storage alike.
+ALL_FAULT_SITES: tuple[str, ...] = FAULT_SITES + IO_FAULT_SITES
 
 #: The two injectable failure kinds.
 FAULT_KINDS: tuple[str, ...] = ("error", "budget")

@@ -54,7 +54,7 @@ from typing import Any, Mapping
 
 from ..errors import ConfigurationError, JournalError, StorageError
 
-__all__ = ["BatchJournal", "question_digest", "verify_record"]
+__all__ = ["BatchJournal", "question_digest"]
 
 #: Journal record format version.  Version 2 added the ``qdigest``
 #: question-identity field; version-1 records fail verification and are
@@ -90,16 +90,6 @@ def _checksum(record: Mapping[str, Any]) -> str:
         payload, sort_keys=True, separators=(",", ":"), default=str
     )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
-def verify_record(record: Any) -> bool:
-    """True when *record* is a complete, checksum-valid journal record.
-
-    Public so the replicated backend's anti-entropy pass can judge the
-    records of a peer replica's journal file with exactly the rules
-    :class:`BatchJournal` applies on load.
-    """
-    return BatchJournal._verify(record)
 
 
 class BatchJournal:
@@ -291,16 +281,6 @@ class BatchJournal:
             # the graceful-drain harness: ask the process to stop, once,
             # exactly as an operator's Ctrl-C would
             os.kill(os.getpid(), signal.SIGINT)
-
-    def loaded_records(self) -> dict[int, dict]:
-        """A copy of every record currently held (loaded + appended).
-
-        The replicated journal merges these across replicas on resume:
-        a record fsynced on one replica but lost on another is still
-        replayable from the survivor.
-        """
-        with self._lock:
-            return dict(self._records)
 
     # ------------------------------------------------------------------
     @property

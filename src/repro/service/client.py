@@ -13,7 +13,7 @@ startup.
 
 A client built with a :class:`~repro.robustness.RetryPolicy` also
 retries *pushback* responses -- 429 (quota / shedding) and 503
-(draining / quorum-lost) -- waiting the larger of the server's
+(starting / draining / breaker-open) -- waiting the larger of the server's
 ``Retry-After`` and the policy's backoff between attempts.  The wait
 runs on the ambient clock (:func:`repro.obs.clock.current_clock`), so
 tests drive it with a :class:`~repro.obs.clock.ManualClock` and never

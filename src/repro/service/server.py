@@ -130,6 +130,10 @@ class ReproServiceServer(ThreadingHTTPServer):
 class ServiceHandler(BaseHTTPRequestHandler):
     server_version = "repro-service/1.0"
     protocol_version = "HTTP/1.1"
+    #: TCP_NODELAY on every accepted socket: headers and body go out as
+    #: two writes, and on a keep-alive connection Nagle's algorithm
+    #: would hold the body until the client's delayed ACK (~40 ms)
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------
     @property

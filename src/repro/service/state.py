@@ -36,6 +36,7 @@ import json
 import threading
 import uuid
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -61,12 +62,13 @@ from ..robustness import (
     CancellationToken,
     CircuitBreakerBoard,
 )
-from ..storage import StorageBackend, default_quorums, open_backend
+from ..storage import StorageBackend, open_backend
 from .quota import QuotaRegistry, QuotaSpec
 
 __all__ = [
     "AdmissionGate",
     "DEGRADATION_SEVERITY",
+    "ENGINE_CAPACITY",
     "STORAGE_KINDS",
     "ServiceConfig",
     "ServiceState",
@@ -89,6 +91,11 @@ _REQUEST_ID_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 #: Database names key registries and the persisted registration file.
 _NAME_RE = re.compile(r"^[A-Za-z0-9_-]{1,64}$")
 
+
+#: Warm engines held at once, least recently used evicted first.  One
+#: engine keeps its query input instance (about 1.5 MB for Gov5), and
+#: every new SQL text a client sends builds one.
+ENGINE_CAPACITY = 32
 
 #: Storage backend selections understood by ``--storage``.
 STORAGE_KINDS: tuple[str, ...] = ("auto", "local", "memory", "none")
@@ -127,15 +134,6 @@ class ServiceConfig:
     drain_timeout_s: float = 10.0
     #: ``Retry-After`` seconds reported on shed / draining responses
     retry_after_s: float = 1.0
-    #: storage replica count; ``> 1`` opens a quorum-replicated
-    #: backend (one subdirectory per replica under ``journal_dir``,
-    #: or N in-memory replicas for ``--storage memory``)
-    replicas: int = 1
-    #: write quorum W (default: a majority of ``replicas``)
-    write_quorum: int | None = None
-    #: read quorum R (default: ``replicas - W + 1``, the smallest
-    #: read set that still overlaps every write set)
-    read_quorum: int | None = None
 
     def __post_init__(self) -> None:
         if self.storage not in STORAGE_KINDS:
@@ -182,45 +180,6 @@ class ServiceConfig:
             object.__setattr__(
                 self, "journal_dir", Path(self.journal_dir)
             )
-        if self.replicas < 1:
-            raise ConfigurationError(
-                f"replicas must be >= 1, got {self.replicas}"
-            )
-        if self.replicas == 1 and (
-            self.write_quorum is not None
-            or self.read_quorum is not None
-        ):
-            raise ConfigurationError(
-                "write/read quorums need --replicas > 1"
-            )
-        if self.replicas > 1:
-            if self.resolved_storage == "none":
-                raise ConfigurationError(
-                    "--replicas > 1 needs a storage backend "
-                    "(--journal-dir or --storage memory)"
-                )
-            write_quorum, read_quorum = default_quorums(self.replicas)
-            if self.write_quorum is not None:
-                write_quorum = self.write_quorum
-            if self.read_quorum is not None:
-                read_quorum = self.read_quorum
-            if not 1 <= write_quorum <= self.replicas:
-                raise ConfigurationError(
-                    f"write quorum must be in [1, {self.replicas}], "
-                    f"got {write_quorum}"
-                )
-            if not 1 <= read_quorum <= self.replicas:
-                raise ConfigurationError(
-                    f"read quorum must be in [1, {self.replicas}], "
-                    f"got {read_quorum}"
-                )
-            if write_quorum + read_quorum <= self.replicas:
-                raise ConfigurationError(
-                    f"quorums must overlap: W + R > N requires "
-                    f"{write_quorum} + {read_quorum} > {self.replicas}"
-                )
-            object.__setattr__(self, "write_quorum", write_quorum)
-            object.__setattr__(self, "read_quorum", read_quorum)
 
     @property
     def resolved_storage(self) -> str:
@@ -328,7 +287,9 @@ class ServiceState:
         self._databases: dict[str, dict[str, Any]] = {}
         self._db_objects: dict[str, Database] = {}
         self._caches: dict[str, EvaluationCache] = {}
-        self._engines: dict[tuple[str, str], tuple[Any, NedExplain]] = {}
+        self._engines: OrderedDict[
+            tuple[str, str], tuple[Any, NedExplain]
+        ] = OrderedDict()
         self._registry_lock = threading.RLock()
         #: recovery problems, surfaced on /readyz (the server starts
         #: regardless; a stuck manifest must not block the healthy ones)
@@ -344,12 +305,7 @@ class ServiceState:
             if config.journal_dir is not None:
                 config.journal_dir.mkdir(parents=True, exist_ok=True)
             self.backend = open_backend(
-                kind,
-                root=config.journal_dir,
-                metrics=self.metrics,
-                replicas=config.replicas,
-                write_quorum=config.write_quorum,
-                read_quorum=config.read_quorum,
+                kind, root=config.journal_dir, metrics=self.metrics
             )
             # storage-level recovery runs before anything reads the
             # directory: stray temp files are quarantined and a corrupt
@@ -386,11 +342,11 @@ class ServiceState:
             self._db_objects[name] = database
             self._caches[name] = EvaluationCache()
             # drop engines warmed against a previous registration
-            self._engines = {
-                key: value
+            self._engines = OrderedDict(
+                (key, value)
                 for key, value in self._engines.items()
                 if key[0] != name
-            }
+            )
             self._databases[name] = dict(source)
         warmed = []
         for sql in body.get("warm", ()):  # prime engines eagerly
@@ -461,7 +417,9 @@ class ServiceState:
 
         Engines share their database's :class:`EvaluationCache`, so
         repeated questions against one query hit the shared bottom-up
-        evaluation exactly as ``explain_many`` batches do.
+        evaluation exactly as ``explain_many`` batches do.  The registry
+        holds at most :data:`ENGINE_CAPACITY` engines and evicts the
+        least recently used (counted by ``service.engines.evicted``).
         """
         if not isinstance(sql, str) or not sql.strip():
             raise ConfigurationError("sql must be a non-empty string")
@@ -470,6 +428,7 @@ class ServiceState:
         with self._registry_lock:
             cached = self._engines.get(key)
             if cached is not None:
+                self._engines.move_to_end(key)
                 return cached
             canonical = sql_to_canonical(sql, database.schema)
             engine = NedExplain(
@@ -479,6 +438,9 @@ class ServiceState:
             )
             self._engines[key] = (canonical, engine)
             self.metrics.counter("service.engines.warmed").inc()
+            while len(self._engines) > ENGINE_CAPACITY:
+                self._engines.popitem(last=False)
+                self.metrics.counter("service.engines.evicted").inc()
             return canonical, engine
 
     # ------------------------------------------------------------------
@@ -840,23 +802,8 @@ class ServiceState:
 
     def ready_document(self) -> tuple[bool, dict]:
         open_sites = self.breakers.open_sites()
-        # a replicated backend reports per-replica health: a single
-        # degraded replica keeps the service ready (quorum still
-        # holds) but is surfaced here; losing quorum flips /readyz
-        replica_health = (
-            self.backend.health()
-            if self.backend is not None
-            and hasattr(self.backend, "health")
-            else None
-        )
-        quorum_ok = (
-            replica_health is None or bool(replica_health["quorum_ok"])
-        )
         ready = (
-            self.ready.is_set()
-            and not self.draining
-            and not open_sites
-            and quorum_ok
+            self.ready.is_set() and not self.draining and not open_sites
         )
         status = "ready"
         if not self.ready.is_set():
@@ -865,10 +812,6 @@ class ServiceState:
             status = "draining"
         elif open_sites:
             status = "breaker-open"
-        elif not quorum_ok:
-            status = "quorum-lost"
-        elif replica_health is not None and replica_health["degraded"]:
-            status = "degraded"
         document = {
             "status": status,
             "draining": self.draining,
@@ -879,8 +822,6 @@ class ServiceState:
                 else {"kind": "none"}
             ),
         }
-        if replica_health is not None:
-            document["replicas"] = replica_health
         if self.storage_recovery is not None and (
             self.storage_recovery.quarantined
             or self.storage_recovery.repaired
@@ -902,6 +843,9 @@ class ServiceState:
         )
         with self._registry_lock:
             caches = dict(self._caches)
+            self.metrics.gauge("service.engines.held").set(
+                float(len(self._engines))
+            )
         for name, cache in sorted(caches.items()):
             stats = cache.stats
             for stat in ("hits", "misses", "evaluations", "evictions"):

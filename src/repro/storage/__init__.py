@@ -47,18 +47,8 @@ from .crashsim import (
     materialize,
 )
 from .io import LocalIO, MemoryIO, StorageIO
-from .remote import RemoteIO, ReplicaTransport
-from .replicated import (
-    AntiEntropyReport,
-    ReplicatedBackend,
-    ReplicatedJournal,
-    ReplicatedRecoveryReport,
-    build_replicated_backend,
-    default_quorums,
-)
 
 __all__ = [
-    "AntiEntropyReport",
     "CrashSim",
     "LocalDirBackend",
     "LocalIO",
@@ -68,19 +58,12 @@ __all__ = [
     "OpLog",
     "QUARANTINE_KEEP",
     "RecoveryReport",
-    "RemoteIO",
-    "ReplicaTransport",
-    "ReplicatedBackend",
-    "ReplicatedJournal",
-    "ReplicatedRecoveryReport",
     "SNAPSHOT_KEEP",
     "SimIO",
     "StorageBackend",
     "StorageIO",
     "atomic_write_json",
     "atomic_write_text",
-    "build_replicated_backend",
-    "default_quorums",
     "enumerate_crash_states",
     "journal_commit_horizon",
     "materialize",

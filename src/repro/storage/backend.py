@@ -168,13 +168,10 @@ class StorageBackend:
         root: Path,
         io: StorageIO,
         metrics: MetricsRegistry | None = None,
-        quarantine_keep: int | None = QUARANTINE_KEEP,
     ):
         self.root = Path(root)
         self.io = io
         self.metrics = metrics
-        #: retained quarantine entries (``None`` disables pruning)
-        self.quarantine_keep = quarantine_keep
         #: quarantine names in the order this process created them;
         #: entries found on disk but not listed here (a previous run's)
         #: are treated as oldest
@@ -338,7 +335,7 @@ class StorageBackend:
 
         A corrupt durability artifact is evidence of a disk or crash
         problem, so it is retained rather than deleted -- up to
-        ``quarantine_keep`` entries, after which the *oldest* evidence
+        ``QUARANTINE_KEEP`` entries, after which the *oldest* evidence
         is pruned (counted by ``storage.quarantine.pruned``) so a
         crash-looping deployment cannot fill the disk with it.
         Returns ``None`` when the file vanished or cannot be moved (in
@@ -367,19 +364,17 @@ class StorageBackend:
         return target.name
 
     def _prune_quarantine(self) -> None:
-        """Drop the oldest quarantined evidence past ``quarantine_keep``.
+        """Drop the oldest quarantined evidence past ``QUARANTINE_KEEP``.
 
         Entries this process quarantined age in creation order; ones
         inherited from an earlier run (present on disk, not in the
         in-memory order) are considered older still, by sorted name.
         """
-        if self.quarantine_keep is None:
-            return
         qdir = self._quarantine_dir()
         if not self.io.exists(qdir):
             return
         present = self.io.listdir(qdir)
-        excess = len(present) - self.quarantine_keep
+        excess = len(present) - QUARANTINE_KEEP
         if excess <= 0:
             return
         known = [n for n in self._quarantine_order if n in set(present)]
@@ -479,14 +474,8 @@ class LocalDirBackend(StorageBackend):
         root: Path,
         metrics: MetricsRegistry | None = None,
         io: StorageIO | None = None,
-        quarantine_keep: int | None = QUARANTINE_KEEP,
     ):
-        super().__init__(
-            root,
-            io if io is not None else LocalIO(),
-            metrics,
-            quarantine_keep=quarantine_keep,
-        )
+        super().__init__(root, io if io is not None else LocalIO(), metrics)
 
 
 class MemoryBackend(StorageBackend):
@@ -501,48 +490,21 @@ class MemoryBackend(StorageBackend):
 
     kind = "memory"
 
-    def __init__(
-        self,
-        metrics: MetricsRegistry | None = None,
-        quarantine_keep: int | None = QUARANTINE_KEEP,
-    ):
-        super().__init__(
-            Path("/memory"),
-            MemoryIO(),
-            metrics,
-            quarantine_keep=quarantine_keep,
-        )
+    def __init__(self, metrics: MetricsRegistry | None = None):
+        super().__init__(Path("/memory"), MemoryIO(), metrics)
 
 
 def open_backend(
     kind: str,
     root: Path | None = None,
     metrics: MetricsRegistry | None = None,
-    replicas: int = 1,
-    write_quorum: int | None = None,
-    read_quorum: int | None = None,
 ) -> StorageBackend:
     """Construct the backend selected by ``--storage``.
 
     ``local`` needs *root* (the journal directory); ``memory`` ignores
-    it.  ``replicas > 1`` wraps the chosen kind in a
-    :class:`~repro.storage.replicated.ReplicatedBackend`: N child
-    backends (``<root>/replica-<i>/`` directories, or N private
-    in-memory file tables) behind one quorum coordinator.  Unknown
-    kinds raise :class:`~repro.errors.StorageError` so a typo'd
-    ``--storage`` fails at startup, not at first write.
+    it.  Unknown kinds raise :class:`~repro.errors.StorageError` so a
+    typo'd ``--storage`` fails at startup, not at first write.
     """
-    if replicas > 1:
-        from .replicated import build_replicated_backend
-
-        return build_replicated_backend(
-            kind,
-            root=root,
-            metrics=metrics,
-            replicas=replicas,
-            write_quorum=write_quorum,
-            read_quorum=read_quorum,
-        )
     if kind == "memory":
         return MemoryBackend(metrics=metrics)
     if kind == "local":

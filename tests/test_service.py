@@ -20,6 +20,7 @@ Four layers of proof, mirroring how the service is built:
 
 from __future__ import annotations
 
+import http.client
 import json
 import os
 import signal
@@ -55,6 +56,7 @@ from repro.service import (
     serve,
 )
 from repro.service.client import ServiceClient
+from repro.service.state import ENGINE_CAPACITY
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
 
@@ -302,6 +304,28 @@ class TestServiceState:
         stats = state._caches["crime"].stats
         assert stats.evaluations == 1  # second question hit the cache
 
+    def test_engine_registry_is_a_bounded_lru(self):
+        state = self._state()
+        state.register_database(REGISTER)
+        extra = 3
+        texts = [
+            f"SELECT Person.name FROM Person WHERE Person.hair = 'h{i}'"
+            for i in range(ENGINE_CAPACITY + extra + 1)
+        ]
+        for sql in texts[:-1]:
+            state.engine_for("crime", sql)
+        assert len(state._engines) == ENGINE_CAPACITY
+        evicted = state.metrics.counter("service.engines.evicted")
+        assert evicted.value == extra
+        # least recently used goes first, and a hit refreshes recency
+        assert ("crime", texts[extra - 1]) not in state._engines
+        state.engine_for("crime", texts[extra])
+        state.engine_for("crime", texts[-1])
+        assert ("crime", texts[extra]) in state._engines
+        assert ("crime", texts[extra + 1]) not in state._engines
+        metrics = state.metrics_document()["metrics"]
+        assert metrics["service.engines.held"]["value"] == ENGINE_CAPACITY
+
     def test_batch_journals_and_is_idempotent(self, tmp_path):
         state = self._state(tmp_path)
         state.register_database(REGISTER)
@@ -370,6 +394,12 @@ class TestServiceState:
         state.ready.set()
         ready, document = state.ready_document()
         assert ready and document["status"] == "ready"
+        assert set(document) == {
+            "status",
+            "draining",
+            "open_breakers",
+            "storage",
+        }
         # an open breaker flips readiness off (stop routing here)
         breaker = state.breakers.breaker("evaluator.operator")
         for _ in range(4):
@@ -448,6 +478,24 @@ class TestLiveServer:
             assert no_body.status == 400
             bad_json = client.request("POST", "/v1/databases")
             assert bad_json.status == 400
+
+    def test_keep_alive_responses_are_not_held_back(self):
+        # headers and body leave in two writes: without TCP_NODELAY a
+        # reused connection waits out the client's delayed ACK (~40 ms)
+        with _live_server() as (httpd, _client):
+            host, port = httpd.server_address[:2]
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            try:
+                start = time.perf_counter()
+                for _ in range(20):
+                    conn.request("GET", "/healthz")
+                    response = conn.getresponse()
+                    response.read()
+                    assert response.status == 200
+                elapsed = time.perf_counter() - start
+            finally:
+                conn.close()
+        assert elapsed < 20 * 0.040 / 2
 
     def test_explain_and_batch_over_http(self):
         with _live_server(workers=2) as (httpd, client):
@@ -828,6 +876,7 @@ class TestStorageKinds:
         assert fresh
         again, fresh = state.explain_batch(body)
         assert not fresh  # idempotency via the in-memory result doc
+        assert again["request_id"] == document["request_id"]
         assert again["outcomes"] == document["outcomes"]
         names = state.backend.list_documents()
         assert "m1.request.json" in names
@@ -989,102 +1038,6 @@ class TestQuotaReload:
             assert server.client.explain(_explain_body()).status == 200
         finally:
             server.kill_wait()
-
-
-# ---------------------------------------------------------------------------
-# replicated storage behind the service
-# ---------------------------------------------------------------------------
-class TestReplicatedService:
-    def _state(self, **kw):
-        kw.setdefault("storage", "memory")
-        kw.setdefault("replicas", 3)
-        state = ServiceState(ServiceConfig(**kw))
-        state.ready.set()
-        return state
-
-    def test_config_validation(self):
-        with pytest.raises(ConfigurationError, match=">= 1"):
-            ServiceConfig(replicas=0)
-        with pytest.raises(ConfigurationError, match="--replicas > 1"):
-            ServiceConfig(write_quorum=2)
-        with pytest.raises(ConfigurationError, match="storage"):
-            ServiceConfig(replicas=3)  # no backend to replicate
-        with pytest.raises(ConfigurationError, match="overlap"):
-            ServiceConfig(
-                storage="memory",
-                replicas=3,
-                write_quorum=1,
-                read_quorum=1,
-            )
-
-    def test_default_quorums_are_resolved(self):
-        config = ServiceConfig(storage="memory", replicas=3)
-        assert (config.write_quorum, config.read_quorum) == (2, 2)
-        config = ServiceConfig(storage="memory", replicas=5)
-        assert (config.write_quorum, config.read_quorum) == (3, 3)
-
-    def test_batch_serves_with_one_replica_down(self):
-        state = self._state()
-        state.register_database(REGISTER)
-        state.backend.transports[2].kill()
-        document, fresh = state.explain_batch(_batch_body())
-        assert fresh
-        assert document["outcomes"]
-        ready, ready_doc = state.ready_document()
-        assert ready  # quorum still satisfied: stay in rotation
-        assert ready_doc["status"] == "degraded"
-        assert ready_doc["replicas"]["degraded"] == ["2"]
-
-    def test_quorum_loss_flips_readyz(self):
-        state = self._state()
-        state.backend.transports[1].kill()
-        state.backend.transports[2].partition()
-        ready, ready_doc = state.ready_document()
-        assert not ready
-        assert ready_doc["status"] == "quorum-lost"
-        assert not ready_doc["replicas"]["quorum_ok"]
-
-    def test_idempotent_retry_through_replicated_journal(self):
-        state = self._state()
-        state.register_database(REGISTER)
-        body = _batch_body(request_id="batch-repl-1")
-        first, fresh_first = state.explain_batch(body)
-        again, fresh_again = state.explain_batch(body)
-        assert fresh_first and not fresh_again
-        assert first["request_id"] == again["request_id"]
-
-    def test_unreplicated_readyz_has_no_replica_block(self):
-        state = ServiceState(ServiceConfig(storage="memory"))
-        state.ready.set()
-        _ready, document = state.ready_document()
-        assert "replicas" not in document
-
-    def test_live_server_reports_replica_health(self):
-        with _live_server(storage="memory", replicas=3) as (
-            httpd,
-            client,
-        ):
-            assert client.register_database(REGISTER).ok
-            ready = client.readyz()
-            assert ready.status == 200
-            replicas = ready.body["replicas"]
-            assert replicas["n"] == 3
-            assert replicas["write_quorum"] == 2
-            assert replicas["degraded"] == []
-            httpd.state.backend.transports[1].kill()
-            degraded = client.readyz()
-            assert degraded.status == 200  # quorum holds: stay up
-            assert degraded.body["status"] == "degraded"
-            assert degraded.body["replicas"]["degraded"] == ["1"]
-            batch = client.explain_batch(_batch_body())
-            assert batch.status == 200
-            httpd.state.backend.transports[2].kill()
-            lost = client.readyz()
-            assert lost.status == 503
-            assert lost.body["status"] == "quorum-lost"
-            # restore quorum so teardown's drain can persist state
-            httpd.state.backend.transports[1].restart()
-            httpd.state.backend.transports[2].restart()
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,7 @@ from repro.storage import (
     atomic_write_text,
     open_backend,
 )
+from repro.storage import backend as storage_backend
 from repro.storage.backend import SNAPSHOT_KEEP
 
 
@@ -262,11 +263,12 @@ class TestRecovery:
 
 
 class TestQuarantineCap:
-    def test_quarantine_growth_is_capped_oldest_first(self):
+    def test_quarantine_growth_is_capped_oldest_first(self, monkeypatch):
         from repro.obs import MetricsRegistry
 
+        monkeypatch.setattr(storage_backend, "QUARANTINE_KEEP", 3)
         metrics = MetricsRegistry()
-        backend = MemoryBackend(metrics=metrics, quarantine_keep=3)
+        backend = MemoryBackend(metrics=metrics)
         for i in range(5):
             backend.io.write_text(
                 backend.path_of(f"bad-{i}.json.tmp"), "torn"
@@ -284,8 +286,9 @@ class TestQuarantineCap:
             metrics.counter("storage.quarantine.pruned").value == 2
         )
 
-    def test_inherited_evidence_is_pruned_before_fresh(self):
-        backend = MemoryBackend(quarantine_keep=2)
+    def test_inherited_evidence_is_pruned_before_fresh(self, monkeypatch):
+        monkeypatch.setattr(storage_backend, "QUARANTINE_KEEP", 2)
+        backend = MemoryBackend()
         # evidence left behind by an earlier process: on disk but not
         # in this process's quarantine order
         qdir = backend.root / "quarantine"
@@ -301,16 +304,6 @@ class TestQuarantineCap:
         backend.quarantine("newer.json.tmp")
         kept = sorted(backend.io.listdir(qdir))
         assert kept == ["fresh.json.tmp", "newer.json.tmp"]
-
-    def test_unlimited_keep_disables_pruning(self):
-        backend = MemoryBackend(quarantine_keep=None)
-        for i in range(40):
-            backend.io.write_text(
-                backend.path_of(f"bad-{i}.json.tmp"), "torn"
-            )
-            backend.quarantine(f"bad-{i}.json.tmp")
-        qdir = backend.root / "quarantine"
-        assert len(backend.io.listdir(qdir)) == 40
 
 
 class TestExists:
