@@ -40,18 +40,6 @@ from ..obs import Tracer, tracing, write_trace_jsonl
 BENCH_FORMAT = "repro.bench"
 BENCH_FORMAT_VERSION = 1
 
-#: Evaluation engines an artifact can be measured under.
-ENGINES = ("row", "columnar")
-
-
-def _check_engine(engine: str) -> str:
-    if engine not in ENGINES:
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected one of {ENGINES}"
-        )
-    return engine
-
-
 def bench_dir() -> Path:
     """Artifact directory: ``$REPRO_BENCH_DIR`` or the cwd."""
     return Path(os.environ.get("REPRO_BENCH_DIR", "."))
@@ -101,15 +89,12 @@ def read_bench_artifact(path: Path | str) -> Any:
 # ---------------------------------------------------------------------------
 # Payload shapes
 # ---------------------------------------------------------------------------
-def phases_payload(results: Sequence, engine: str = "row") -> dict:
+def phases_payload(results: Sequence) -> dict:
     """Fig. 5 payload from :class:`~repro.bench.runner.UseCaseResult`s.
 
     Per use case: absolute per-phase milliseconds and the percentage
-    distribution the figure plots.  *engine* records which evaluation
-    engine (``"row"`` or ``"columnar"``) produced the numbers, so two
-    artifacts from the two engines are never confused for each other.
+    distribution the figure plots.
     """
-    _check_engine(engine)
     use_cases: dict[str, dict] = {}
     for result in results:
         times = dict(result.ned.phase_times_ms)
@@ -126,7 +111,6 @@ def phases_payload(results: Sequence, engine: str = "row") -> dict:
     return {
         "figure": "5",
         "unit": "ms",
-        "engine": engine,
         "use_cases": use_cases,
     }
 
@@ -135,7 +119,6 @@ def runtime_payload(
     medians: Mapping[str, Mapping[str, float]],
     scale: int,
     na_reasons: Mapping[str, str] | None = None,
-    engine: str = "row",
 ) -> dict:
     """Fig. 6 payload from per-use-case median runtimes.
 
@@ -147,10 +130,7 @@ def runtime_payload(
     run) -- a null ``whynot_ms`` without a recorded reason would read
     as a measurement bug, so the serializer refuses to leave it
     unexplained and emits an explicit ``"speedup": null`` alongside.
-    *engine* names the evaluation engine behind the NedExplain column
-    (the baseline is always measured on the row engine).
     """
-    _check_engine(engine)
     na_reasons = na_reasons or {}
     use_cases: dict[str, dict] = {}
     for name, values in medians.items():
@@ -172,7 +152,6 @@ def runtime_payload(
         "figure": "6",
         "unit": "ms",
         "scale": scale,
-        "engine": engine,
         "use_cases": use_cases,
     }
 
@@ -184,21 +163,18 @@ def collect_phases(
     repeats: int = 3,
     scale: int = 1,
     warmup: int = 1,
-    engine: str = "row",
 ) -> dict:
     """Measure the Fig. 5 phase distribution over every use case.
 
     Runs each use case *warmup* untimed times plus *repeats* measured
     times and keeps the per-phase medians, shaped by
-    :func:`phases_payload`.  With ``engine="columnar"`` the NedExplain
-    runs evaluate queries batch-at-a-time and the payload records it.
+    :func:`phases_payload`.
     """
-    from ..core import NedExplain, NedExplainConfig
+    from ..core import NedExplain
     from ..workloads import USE_CASES, use_case_setup
 
     from .runner import UseCaseResult
 
-    _check_engine(engine)
     if repeats < 1:
         raise ConfigurationError(
             f"repeats must be positive, got {repeats!r}"
@@ -207,17 +183,10 @@ def collect_phases(
         raise ConfigurationError(
             f"warmup must be non-negative, got {warmup!r}"
         )
-    config = (
-        NedExplainConfig(use_columnar=True)
-        if engine == "columnar"
-        else None
-    )
     results = []
     for uc in USE_CASES:
         use_case, database, canonical = use_case_setup(uc.name, scale)
-        ned_engine = NedExplain(
-            canonical, database=database, config=config
-        )
+        ned_engine = NedExplain(canonical, database=database)
         for _ in range(warmup):
             ned_engine.explain(use_case.predicate)
         samples: dict[str, list[float]] = {}
@@ -232,7 +201,7 @@ def collect_phases(
             for phase, values in samples.items()
         }
         results.append(UseCaseResult(use_case=use_case, ned=report))
-    payload = phases_payload(results, engine=engine)
+    payload = phases_payload(results)
     payload["repeats"] = repeats
     payload["warmup"] = warmup
     return payload
@@ -242,7 +211,6 @@ def collect_runtime(
     repeats: int = 3,
     scale: int = 2,
     warmup: int = 1,
-    engine: str = "row",
 ) -> dict:
     """Measure the Fig. 6 runtime comparison over every use case.
 
@@ -251,16 +219,13 @@ def collect_runtime(
     reduction) so the CI bench artifacts and the regression gate share
     one measurement discipline.  A use case whose baseline number is
     missing records *why* (``whynot_na_reason``) instead of silently
-    dropping the column.  *engine* routes the NedExplain measurements
-    through the row or columnar engine and is recorded in the payload;
-    the Why-Not baseline always runs on the row engine.
+    dropping the column.
     """
     from ..errors import BudgetExceededError
     from ..workloads import USE_CASES
 
     from .runner import measure, use_case_factory
 
-    _check_engine(engine)
     if repeats < 1:
         raise ConfigurationError(
             f"repeats must be positive, got {repeats!r}"
@@ -269,7 +234,7 @@ def collect_runtime(
     na_reasons: dict[str, str] = {}
     for uc in USE_CASES:
         ned = measure(
-            use_case_factory(uc.name, "ned", scale, engine=engine),
+            use_case_factory(uc.name, "ned", scale),
             name=f"{uc.name}.ned",
             repeats=repeats,
             warmup=warmup,
@@ -293,7 +258,7 @@ def collect_runtime(
             na_reasons[uc.name] = "budget-exhausted"
             continue
         medians[uc.name]["whynot"] = whynot.median_ms
-    payload = runtime_payload(medians, scale, na_reasons, engine=engine)
+    payload = runtime_payload(medians, scale, na_reasons)
     payload["repeats"] = repeats
     payload["warmup"] = warmup
     return payload
@@ -346,19 +311,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         dest="trace_use_case",
         help="use case recorded in the sample trace",
     )
-    parser.add_argument(
-        "--engine",
-        choices=ENGINES,
-        default="row",
-        help="evaluation engine behind the NedExplain measurements "
-        "(recorded in every artifact payload)",
-    )
     args = parser.parse_args(argv)
     out_dir = Path(args.out_dir) if args.out_dir else bench_dir()
 
     phases = write_bench_artifact(
         "phases",
-        collect_phases(repeats=args.repeats, engine=args.engine),
+        collect_phases(repeats=args.repeats),
         out_dir,
     )
     print(f"wrote {phases}")
@@ -367,7 +325,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         collect_runtime(
             repeats=args.repeats,
             scale=args.runtime_scale,
-            engine=args.engine,
         ),
         out_dir,
     )

@@ -34,7 +34,7 @@ import os
 import statistics
 import subprocess
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Any, Callable, Mapping, Sequence
 
@@ -195,11 +195,16 @@ def compare_measurement(
     adjusted_median = baseline.median_ms * calibration_ratio
     adjusted_mad = baseline.mad_ms * calibration_ratio
     mismatches = diff_counters(baseline.counters, measurement.counters)
+    # the floor is in baseline-host milliseconds like the median: left
+    # unscaled it would break scale invariance wherever it dominates
     allowed = allowed_regression_ms(
         adjusted_median,
         adjusted_mad,
         measurement.mad_ms,
-        thresholds,
+        replace(
+            thresholds,
+            abs_floor_ms=thresholds.abs_floor_ms * calibration_ratio,
+        ),
     )
     delta = measurement.median_ms - adjusted_median
     if mismatches:
@@ -361,73 +366,6 @@ def _scaling_specs() -> list[BenchmarkSpec]:
     ]
 
 
-def _columnar_specs() -> list[BenchmarkSpec]:
-    """Row vs columnar engine on join-heavy workloads.
-
-    Paired eval-level benchmarks (same canonical tree, same hoisted
-    input instance, only the engine differs) make the committed
-    baselines *prove* the columnar speedup: the acceptance test in
-    ``tests/test_columnar_gate.py`` asserts the row/columnar median
-    ratio from these files, and the exact-counter comparison pins both
-    engines to identical ``budget.*`` work totals.  A NedExplain
-    end-to-end entry guards the ``use_columnar`` path as a whole.
-    """
-    from ..columnar import evaluate_columnar
-    from ..core import NedExplain, NedExplainConfig, canonicalize
-    from ..relational import EvaluationCache
-    from ..relational.evaluator import evaluate
-    from ..workloads import (
-        scaling_join_database,
-        scaling_join_query,
-        use_case_setup,
-    )
-
-    gov_case, gov_db, gov_canonical = use_case_setup(
-        "Gov5", GATE_SCALE
-    )
-    gov_instance = gov_db.input_instance(gov_canonical.aliases)
-    sj_db = scaling_join_database()
-    sj_canonical = canonicalize(scaling_join_query(), sj_db.schema)
-    sj_instance = sj_db.input_instance(sj_canonical.aliases)
-
-    def eval_factory(root, instance, engine):
-        def build() -> Callable[[], object]:
-            if engine == "row":
-                return lambda: evaluate(root, instance)
-            # the columnar engine keeps its per-cache-entry table and
-            # index memos warm across repeats by design ("hash tables
-            # built once per cache entry"); the warmup run pays them
-            return lambda: evaluate_columnar(root, instance)
-
-        return build
-
-    specs = [
-        BenchmarkSpec(
-            "columnar", f"{label}.eval.{engine}",
-            eval_factory(root, instance, engine),
-        )
-        for label, root, instance in (
-            ("gov5", gov_canonical.root, gov_instance),
-            ("scaling_join", sj_canonical.root, sj_instance),
-        )
-        for engine in ("row", "columnar")
-    ]
-
-    def ned_columnar() -> Callable[[], object]:
-        engine = NedExplain(
-            gov_canonical,
-            database=gov_db,
-            cache=EvaluationCache(),
-            config=NedExplainConfig(use_columnar=True),
-        )
-        return lambda: engine.explain(gov_case.predicate)
-
-    specs.append(
-        BenchmarkSpec("columnar", "gov5.ned.columnar", ned_columnar)
-    )
-    return specs
-
-
 #: suite name -> lazy spec builder (building a suite sets up its
 #: databases, so only selected suites pay that cost)
 SUITES: dict[str, Callable[[], list[BenchmarkSpec]]] = {
@@ -435,7 +373,6 @@ SUITES: dict[str, Callable[[], list[BenchmarkSpec]]] = {
     "whynot": _whynot_specs,
     "batch": _batch_specs,
     "scaling": _scaling_specs,
-    "columnar": _columnar_specs,
 }
 
 

@@ -223,15 +223,12 @@ def use_case_factory(
     name: str,
     algorithm: str = "ned",
     scale: int = 1,
-    engine: str = "row",
 ) -> Callable[[], Callable[[], object]]:
     """A :func:`measure` factory for one Table 4 use case.
 
     *algorithm* is ``"ned"`` (NedExplain) or ``"whynot"`` (the Why-Not
     baseline; raises :class:`~repro.errors.UnsupportedQueryError` for
-    aggregation queries the baseline cannot trace).  *engine* routes
-    evaluation through the row engine (the default, the differential
-    oracle) or the columnar engine (``"columnar"``; NedExplain only).
+    aggregation queries the baseline cannot trace).
     """
     from ..relational import EvaluationCache
 
@@ -240,24 +237,10 @@ def use_case_factory(
             f"unknown algorithm {algorithm!r}; expected 'ned' or "
             "'whynot'"
         )
-    if engine not in ("row", "columnar"):
-        raise ConfigurationError(
-            f"unknown engine {engine!r}; expected 'row' or 'columnar'"
-        )
-    if engine == "columnar" and algorithm != "ned":
-        raise ConfigurationError(
-            "the whynot baseline has no columnar engine; use "
-            "algorithm='ned' with engine='columnar'"
-        )
     use_case, database, canonical = use_case_setup(name, scale)
     if algorithm == "whynot":
         # fail fast (unsupported query shape) at factory-build time
         WhyNotBaseline(canonical, database=database)
-    config = (
-        NedExplainConfig(use_columnar=True)
-        if engine == "columnar"
-        else None
-    )
 
     def build() -> Callable[[], object]:
         if algorithm == "ned":
@@ -268,7 +251,6 @@ def use_case_factory(
                 canonical,
                 database=database,
                 cache=EvaluationCache(),
-                config=config,
             )
         else:
             runner = WhyNotBaseline(

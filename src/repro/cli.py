@@ -54,7 +54,7 @@ import threading
 from typing import Any, Sequence, TextIO
 
 from .baseline import WhyNotBaseline
-from .core import NedExplain, NedExplainConfig
+from .core import NedExplain
 from .core.repairs import suggest_repairs, verify_repair
 from .errors import ConfigurationError, ReproError, UnsupportedQueryError
 from .obs import (
@@ -282,13 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the query result first",
     )
     explain.add_argument(
-        "--columnar",
-        action="store_true",
-        help="evaluate queries batch-at-a-time on the columnar "
-        "engine (docs/columnar.md); answers are identical to the "
-        "row engine, joins are substantially faster",
-    )
-    explain.add_argument(
         "--timeout",
         type=float,
         default=None,
@@ -391,11 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         "demo", help="run one of the paper's use cases"
     )
     demo.add_argument("use_case", help="e.g. Crime5, Imdb2, Gov7")
-    demo.add_argument(
-        "--columnar",
-        action="store_true",
-        help="evaluate the use case on the columnar engine",
-    )
     _add_common_options(demo)
 
     evaluate = commands.add_parser(
@@ -572,13 +560,6 @@ def _export_observability(
             writer.block(render_trace(tracer))
 
 
-def _config_from(args) -> NedExplainConfig | None:
-    """The engine config implied by the flags (None = defaults)."""
-    if getattr(args, "columnar", False):
-        return NedExplainConfig(use_columnar=True)
-    return None
-
-
 def _budget_from(args) -> Budget | None:
     limits = (
         getattr(args, "timeout", None),
@@ -615,7 +596,6 @@ def _run_explain(args, writer: OutputWriter) -> int:
 
     questions = list(args.why_not)
     writer.set("questions", questions)
-    writer.set("engine", "columnar" if args.columnar else "row")
     budget = _budget_from(args)
     if args.resume and not args.journal:
         raise ConfigurationError("--resume requires --journal FILE")
@@ -635,9 +615,7 @@ def _run_explain(args, writer: OutputWriter) -> int:
             args, writer, database, canonical, questions, budget
         )
 
-    engine = NedExplain(
-        canonical, database=database, config=_config_from(args)
-    )
+    engine = NedExplain(canonical, database=database)
     report = engine.explain(questions[0], budget=budget)
     writer.append("reports", report.to_dict())
     writer.line("NedExplain:")
@@ -697,12 +675,7 @@ def _run_explain_batch(
         writer.set("journal", str(journal.path))
 
     cache = EvaluationCache()
-    engine = NedExplain(
-        canonical,
-        database=database,
-        cache=cache,
-        config=_config_from(args),
-    )
+    engine = NedExplain(canonical, database=database, cache=cache)
 
     # Graceful drain: the first SIGINT/SIGTERM cancels the batch's
     # admission (in-flight questions finish and are journaled); a
@@ -852,10 +825,9 @@ def _run_demo(args, writer: OutputWriter) -> int:
             f"unknown use case {args.use_case!r}; choose from "
             f"{', '.join(USE_CASE_INDEX)}"
         )
-    result = run_use_case(args.use_case, config=_config_from(args))
+    result = run_use_case(args.use_case)
     use_case = result.use_case
     writer.set("use_case", use_case.name)
-    writer.set("engine", "columnar" if args.columnar else "row")
     writer.set("query", use_case.query)
     writer.set("predicate", use_case.predicate)
     writer.set("report", result.ned.to_dict())

@@ -110,14 +110,6 @@ class CompatibleFinder:
         when given, constant constraints are served by indexed id
         lookups on the stored tables (the paper's SELECT statements)
         and only the candidates are checked against the full c-tuple.
-    use_columnar:
-        When the stored-database index path is unavailable, narrow
-        full scans through the memoized columnar value dictionaries
-        instead (``ColumnarTable.rows_equal``): candidate rows are the
-        intersection of the per-attribute equality row sets, in stored
-        row order.  Candidate *sets* are identical to a full scan, but
-        the comparison-budget ticks (sized by the candidate list) may
-        be lower than the row path's.
     """
 
     def __init__(
@@ -125,12 +117,10 @@ class CompatibleFinder:
         instance: DatabaseInstance,
         database: Database | None = None,
         aliases: Mapping[str, str] | None = None,
-        use_columnar: bool = False,
     ):
         self.instance = instance
         self.database = database
         self.aliases = dict(aliases or {})
-        self.use_columnar = use_columnar
 
     def find(self, tc: CTuple) -> CompatibilitySets:
         """Compute ``Dir_tc`` / ``InDir_tc`` for the c-tuple."""
@@ -196,8 +186,6 @@ class CompatibleFinder:
     def _candidates(self, alias: str, tc: CTuple) -> list[Tuple] | None:
         """Index-served candidate tuples, or ``None`` for a full scan."""
         if self.database is None:
-            if self.use_columnar:
-                return self._columnar_candidates(alias, tc)
             return None
         table_name = self.aliases.get(alias, alias)
         if table_name not in self.database:
@@ -218,35 +206,6 @@ class CompatibleFinder:
             suffix = tid[len(prefix):] if tid.startswith(prefix) else tid
             out.append(relation.by_tid(f"{alias}:{suffix}"))
         return out
-
-    def _columnar_candidates(
-        self, alias: str, tc: CTuple
-    ) -> list[Tuple] | None:
-        """Candidates via the columnar dictionaries, or ``None``.
-
-        Only constant equalities narrow; variables and conditions are
-        still decided by ``tuple_matches_ctuple`` on the candidates.
-        """
-        equalities: list[tuple[str, Value]] = []
-        for attr, entry in tc.entries():
-            if alias_of(attr) != alias or isinstance(entry, Var):
-                continue
-            equalities.append((attr, entry))
-        if not equalities:
-            return None
-        from ..columnar import columnar_table  # lazy: optional path
-
-        table = columnar_table(self.instance, alias)
-        rows: set[int] | None = None
-        for attr, value in equalities:
-            if attr not in table.batch.codes:
-                return None  # schema mismatch: fall back to full scan
-            matched = set(table.rows_equal(attr, value))
-            rows = matched if rows is None else rows & matched
-            if not rows:
-                return []
-        assert rows is not None
-        return [table.source_tuple(row) for row in sorted(rows)]
 
 
 def find_compatibles(

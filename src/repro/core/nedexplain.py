@@ -36,7 +36,6 @@ from ..errors import (
     BatchError,
     BudgetExceededError,
     CancelledError,
-    ConfigurationError,
     EvaluationError,
     LoadShedError,
     ReproError,
@@ -132,11 +131,6 @@ class NedExplainConfig:
     shared (cached) query evaluation instead of re-applying every
     manipulation per c-tuple; disabling it restores the paper's
     literal per-question loop (the oracle of the differential tests).
-    ``use_columnar`` additionally runs that shared evaluation on the
-    batch-at-a-time engine of :mod:`repro.columnar` (identical rows,
-    lineage, and TabQ picks; the row engine stays the oracle) and lets
-    CompatibleFinder narrow full scans through the columnar value
-    dictionaries; it requires ``use_shared_evaluation``.
     ``budget`` is the default execution budget applied to every
     ``explain``/``explain_each`` call that does not pass its own; when
     it runs out the call returns an explicit *degraded* report
@@ -150,7 +144,6 @@ class NedExplainConfig:
     compute_secondary: bool = True
     check_answer_presence: bool = True
     use_shared_evaluation: bool = True
-    use_columnar: bool = False
     budget: Budget | None = None
     retry: RetryPolicy | None = None
 
@@ -189,25 +182,13 @@ class NedExplain:
             )
         self.canonical = canonical
         self.config = config or NedExplainConfig()
-        if (
-            self.config.use_columnar
-            and not self.config.use_shared_evaluation
-        ):
-            raise ConfigurationError(
-                "use_columnar requires use_shared_evaluation: the "
-                "columnar engine evaluates the whole tree once and "
-                "serves row views from the shared cache entry"
-            )
         if database is not None:
             self.instance = database.input_instance(canonical.aliases)
         else:
             assert instance is not None
             self.instance = instance
         self.finder = CompatibleFinder(
-            self.instance,
-            database,
-            canonical.aliases,
-            use_columnar=self.config.use_columnar,
+            self.instance, database, canonical.aliases
         )
         self.cache = cache if cache is not None else get_default_cache()
         # Per-explain mutable state lives in a threading.local: a
@@ -312,11 +293,6 @@ class NedExplain:
                         self.canonical.root,
                         self.instance,
                         self.canonical.aliases,
-                        engine=(
-                            "columnar"
-                            if self.config.use_columnar
-                            else "row"
-                        ),
                     )
 
             with _PhaseTimer(self, "Initialization"):

@@ -21,13 +21,7 @@ category                emitted by
 ``operator``            one span per algebra node application in
                         :func:`repro.relational.evaluator.evaluate`,
                         tagged with the node fingerprint, postorder
-                        index, and input/output cardinalities; the
-                        columnar engine
-                        (:func:`repro.columnar.evaluate_columnar`)
-                        emits one span per *batch* instead, adding
-                        ``batch_index``/``batch_size``/``eval`` tags,
-                        so a node's cardinality is the sum of its
-                        spans within one evaluation serial
+                        index, and input/output cardinalities
 ``compatible``          :meth:`repro.core.compatibility.CompatibleFinder.find`
 ``cache``               :meth:`repro.relational.evalcache.EvaluationCache.get_or_evaluate`
 ======================  =================================================

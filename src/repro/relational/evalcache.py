@@ -50,6 +50,12 @@ from .algebra import Query, query_fingerprint
 from .evaluator import EvaluationResult, evaluate
 from .instance import DatabaseInstance
 
+#: Default entry bound of an :class:`EvaluationCache`.  A service
+#: database serving unseen SQL per batch never hits an old entry
+#: again, so the bound caps the results it keeps alive; a warm
+#: workload's handful of queries stays well inside it.
+CACHE_MAXSIZE = 32
+
 
 @dataclass
 class CacheStats:
@@ -91,7 +97,7 @@ class EvaluationCache:
         the least recently used entry is evicted beyond that.
     """
 
-    maxsize: int = 128
+    maxsize: int = CACHE_MAXSIZE
     stats: CacheStats = field(default_factory=CacheStats)
 
     def __post_init__(self) -> None:
@@ -110,20 +116,9 @@ class EvaluationCache:
         root: Query,
         instance: DatabaseInstance,
         aliases: Mapping[str, str] | None = None,
-        engine: str = "row",
     ) -> tuple:
-        """The cache key: fingerprint of ``(Q, eta_Q)`` + data key.
-
-        Columnar entries get a distinct key suffix -- the two engines
-        produce observationally identical row views, but keeping the
-        entries apart preserves each engine's native representation
-        (and lets the differential suites hold both at once).  Row
-        keys keep their historical two-element shape.
-        """
-        base = (query_fingerprint(root, aliases), instance.data_key)
-        if engine == "row":
-            return base
-        return base + (engine,)
+        """The cache key: fingerprint of ``(Q, eta_Q)`` + data key."""
+        return (query_fingerprint(root, aliases), instance.data_key)
 
     # ------------------------------------------------------------------
     # Lookup
@@ -133,7 +128,6 @@ class EvaluationCache:
         root: Query,
         instance: DatabaseInstance,
         aliases: Mapping[str, str] | None = None,
-        engine: str = "row",
     ) -> EvaluationResult:
         """Serve the evaluation of *root* over *instance* from cache.
 
@@ -156,34 +150,27 @@ class EvaluationCache:
         serialize behind a long evaluation; per-question why-not work
         dominates evaluation time in a batch, so the trade keeps the
         "N questions, 1 evaluation" claim exact instead of racy.)
-
-        With ``engine="columnar"`` the miss evaluates through
-        :func:`repro.columnar.evaluate_columnar` and the entry stores
-        the native :class:`~repro.columnar.engine.ColumnarResult`;
-        conversion to the returned row view happens on demand and is
-        memoized on the entry, so N questions against one cache entry
-        still pay for exactly one evaluation *and* one conversion.
         """
         with self._lock:
             fault_point("cache.lookup")
             tracer = current_tracer()
-            key = self.key_for(root, instance, aliases, engine)
+            key = self.key_for(root, instance, aliases)
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
                 self.stats.hits += 1
                 if tracer is not None:
                     tracer.metrics.counter("cache.hits").inc()
-                return self._row_view(cached, root)
+                return self._rebound(cached, root)
             self.stats.misses += 1
             if tracer is None:
-                result = self._evaluate(engine, root, instance)
+                result = evaluate(root, instance)
             else:
                 tracer.metrics.counter("cache.misses").inc()
                 with tracer.span(
                     "evaluate", category="cache", fingerprint=key[0][:12]
                 ):
-                    result = self._evaluate(engine, root, instance)
+                    result = evaluate(root, instance)
             self.stats.evaluations += 1
             fault_point("cache.store")
             self._entries[key] = result
@@ -194,31 +181,13 @@ class EvaluationCache:
                 self.stats.evictions += 1
                 if tracer is not None:
                     tracer.metrics.counter("cache.evictions").inc()
-            return self._row_view(result, root)
+            return self._rebound(result, root)
 
     @staticmethod
-    def _evaluate(engine: str, root: Query, instance: DatabaseInstance):
-        """Run one evaluation on the requested engine."""
-        if engine == "columnar":
-            # lazy import: repro.columnar imports this package
-            from ..columnar import evaluate_columnar
-
-            return evaluate_columnar(root, instance)
-        if engine != "row":
-            raise ConfigurationError(
-                f"unknown evaluation engine {engine!r}; "
-                "expected 'row' or 'columnar'"
-            )
-        return evaluate(root, instance)
-
-    @staticmethod
-    def _row_view(entry, root: Query) -> EvaluationResult:
-        """The row view of an entry, re-keyed onto the caller's tree."""
-        if isinstance(entry, EvaluationResult):
-            if entry.root is root:
-                return entry
-            return entry.rebind(root)
-        # ColumnarResult: memoized lossless conversion + rebind
+    def _rebound(entry: EvaluationResult, root: Query) -> EvaluationResult:
+        """The entry, re-keyed onto the caller's tree if needed."""
+        if entry.root is root:
+            return entry
         return entry.rebind(root)
 
     def peek(self, key: tuple) -> EvaluationResult | None:
@@ -245,9 +214,6 @@ class EvaluationCache:
             assert len(self._entries) <= self.maxsize
             entries = list(self._entries.values())
         for entry in entries:
-            if hasattr(entry, "check_complete"):
-                entry.check_complete()  # columnar: one batch per node
-                continue
             for node in entry.root.postorder():
                 entry.output(node)  # raises EvaluationError if missing
 
@@ -272,7 +238,7 @@ class EvaluationCache:
 #: Process-wide default cache shared by NedExplain, the Why-Not
 #: baseline, and ``repro.explain_batch`` unless a private cache is
 #: passed explicitly.
-DEFAULT_CACHE = EvaluationCache(maxsize=128)
+DEFAULT_CACHE = EvaluationCache(maxsize=CACHE_MAXSIZE)
 
 
 def get_default_cache() -> EvaluationCache:

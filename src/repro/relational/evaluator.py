@@ -11,7 +11,6 @@ every intermediate result.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, Mapping, Sequence
 
 from ..errors import EvaluationError, UnknownRelationError
@@ -21,14 +20,6 @@ from ..robustness.faults import fault_point
 from .algebra import Query, RelationLeaf, query_fingerprint, validate_tree
 from .instance import DatabaseInstance, query_input_instance
 from .tuples import Tuple, Value
-
-#: Monotonic serial per evaluation run, shared by the row and columnar
-#: engines.  Operator spans carry it as the ``eval`` tag so trace
-#: consumers (``statistics.actuals_from_trace``) can aggregate
-#: multi-span per-batch operator records within one evaluation without
-#: mixing records of distinct evaluations.
-_EVAL_SERIALS = itertools.count(1)
-
 
 class EvaluationResult:
     """Per-node inputs and outputs of one query evaluation.
@@ -152,7 +143,6 @@ def evaluate(root: Query, instance: DatabaseInstance) -> EvaluationResult:
     # Tracing fast path: one context-var read per evaluation, one None
     # check per node when tracing is off.
     tracer = current_tracer()
-    serial = next(_EVAL_SERIALS)
     for index, node in enumerate(root.postorder()):
         # Cooperative budget tick per operator: a deadline or row limit
         # stops the bottom-up pass between manipulations (the
@@ -168,7 +158,6 @@ def evaluate(root: Query, instance: DatabaseInstance) -> EvaluationResult:
                 op=node.op,
                 fingerprint=query_fingerprint(node)[:12],
                 postorder=index,
-                eval=serial,
             )
         try:
             if isinstance(node, RelationLeaf):
@@ -208,7 +197,6 @@ def evaluate_query(
     database: DatabaseInstance,
     aliases: Mapping[str, str] | None = None,
     cache=None,
-    use_columnar: bool = False,
 ) -> EvaluationResult:
     """Evaluate ``(Q, eta_Q)`` over a stored database (Def. 2.3).
 
@@ -219,26 +207,11 @@ def evaluate_query(
     evaluations of structurally equal queries over unchanged data are
     then served from it (the returned result must be treated as
     immutable in that case).
-
-    With ``use_columnar=True`` the evaluation routes through the
-    batch-at-a-time engine of :mod:`repro.columnar` and the result is
-    its lossless row view -- observationally identical tuples,
-    lineage, and parent links (the row engine stays the differential
-    oracle; see ``docs/columnar.md``).
     """
     mapping = resolve_aliases(root, database, aliases)
     input_instance = query_input_instance(database, mapping)
     if cache is not None:
-        return cache.get_or_evaluate(
-            root,
-            input_instance,
-            mapping,
-            engine="columnar" if use_columnar else "row",
-        )
-    if use_columnar:
-        from ..columnar import evaluate_columnar  # lazy: avoids cycle
-
-        return evaluate_columnar(root, input_instance).row_view()
+        return cache.get_or_evaluate(root, input_instance, mapping)
     return evaluate(root, input_instance)
 
 

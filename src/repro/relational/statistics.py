@@ -265,16 +265,9 @@ def actuals_from_trace(tracer, root: Query) -> dict[int, int]:
         print(explain_plan(root, database, aliases,
                            actuals=actuals_from_trace(tracer, root)))
 
-    One evaluation may record **several** spans per node: the columnar
-    engine emits one span per batch (chunk), each tagged with that
-    chunk's ``rows_out``.  Spans sharing a node's postorder index *and*
-    the evaluation serial (``eval`` tag) are therefore **summed**; a
-    span with a different serial starts a fresh sum, so when the trace
-    holds several evaluations of the same tree (cache misses over
-    different instances) the last evaluation per node wins -- exactly
-    the historical last-wins rule, lifted from spans to evaluations.
-    Spans without an ``eval`` tag (pre-batch traces) are each treated
-    as their own evaluation, preserving last-span-wins for them.
+    The evaluator records one span per node per evaluation, so when
+    the trace holds several evaluations of the same tree (cache misses
+    over different instances) the last evaluation per node wins.
     Spans of *other* trees in the same trace are skipped: the
     postorder index must agree with a node of *root* (indices past the
     tree size are ignored; fingerprint tags disambiguate the rest).
@@ -284,7 +277,6 @@ def actuals_from_trace(tracer, root: Query) -> dict[int, int]:
 
     prefixes = [query_fingerprint(node)[:12] for node in nodes]
     actuals: dict[int, int] = {}
-    current_eval: dict[int, object] = {}
     for span in tracer.by_category("operator"):
         index = span.tags.get("postorder")
         rows_out = span.tags.get("rows_out")
@@ -294,16 +286,7 @@ def actuals_from_trace(tracer, root: Query) -> dict[int, int]:
             continue
         if span.tags.get("fingerprint") != prefixes[index]:
             continue
-        key = id(nodes[index])
-        # untagged spans get a unique sentinel: every one of them is
-        # its own "evaluation", i.e. plain last-wins
-        eval_id = span.tags.get("eval")
-        if eval_id is None:
-            eval_id = object()
-        if current_eval.get(key) != eval_id:
-            current_eval[key] = eval_id
-            actuals[key] = 0
-        actuals[key] += rows_out
+        actuals[id(nodes[index])] = rows_out
     return actuals
 
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from ..errors import ConfigurationError, QuotaExceededError
 from ..obs.clock import current_clock
 
-__all__ = ["QuotaSpec", "TokenBucket", "QuotaRegistry"]
+__all__ = ["QUOTA_BUCKETS", "QuotaSpec", "TokenBucket", "QuotaRegistry"]
 
 #: ``--quota`` grammar: ``RATE/UNIT`` with an optional ``:BURST``
 #: (e.g. ``10/s``, ``120/min``, ``5/s:20``).
@@ -39,6 +39,10 @@ _UNIT_SECONDS = {
     "s": 1.0, "sec": 1.0, "second": 1.0,
     "m": 60.0, "min": 60.0, "minute": 60.0,
 }
+
+#: Bucket count past which :class:`QuotaRegistry` drops the buckets
+#: that have refilled to full before adding a new tenant.
+QUOTA_BUCKETS = 1024
 
 
 @dataclass(frozen=True)
@@ -110,8 +114,11 @@ class TokenBucket:
 
     def try_acquire(self) -> float:
         """Take one token if available; else seconds until one exists."""
-        now = current_clock().monotonic()
         with self._lock:
+            # read the clock under the lock: a reading taken before
+            # another thread's acquire would move ``_last`` backwards
+            # and refill the same interval twice
+            now = current_clock().monotonic()
             elapsed = max(0.0, now - self._last)
             self._last = now
             self._tokens = min(
@@ -122,6 +129,14 @@ class TokenBucket:
                 self._tokens -= 1.0
                 return 0.0
             return (1.0 - self._tokens) / self.spec.rate_per_s
+
+    def is_full(self, now: float) -> bool:
+        """Whether the bucket has refilled to ``burst`` by *now*; a full
+        bucket admits exactly like a freshly created one."""
+        with self._lock:
+            elapsed = max(0.0, now - self._last)
+            refilled = self._tokens + elapsed * self.spec.rate_per_s
+            return refilled >= self.spec.burst
 
     @property
     def tokens(self) -> float:
@@ -137,11 +152,20 @@ class QuotaRegistry:
 
     ``spec=None`` disables quotas entirely (every check passes), so the
     service can thread one registry object through unconditionally.
+
+    The registry stays bounded under a stream of fresh tenant names:
+    once it holds :data:`QUOTA_BUCKETS` buckets, adding a tenant first
+    drops every bucket that has refilled to full, which changes no
+    quota decision.  A bucket that spent tokens is kept until it has
+    refilled, so the scan runs at most once per full refill time
+    (``burst / rate`` seconds): by then every bucket left idle since
+    the last scan is full.
     """
 
     def __init__(self, spec: QuotaSpec | None):
         self.spec = spec
         self._buckets: dict[str, TokenBucket] = {}
+        self._next_prune = -math.inf
         self._lock = threading.Lock()
 
     def bucket(self, tenant: str) -> TokenBucket:
@@ -150,37 +174,56 @@ class QuotaRegistry:
                 "this registry has no quota configured"
             )
         with self._lock:
-            existing = self._buckets.get(tenant)
-            if existing is None:
-                existing = TokenBucket(self.spec)
-                self._buckets[tenant] = existing
-            return existing
+            return self._bucket_locked(tenant)
+
+    def _bucket_locked(self, tenant: str) -> TokenBucket:
+        existing = self._buckets.get(tenant)
+        if existing is None:
+            if len(self._buckets) >= QUOTA_BUCKETS:
+                self._prune()
+            existing = TokenBucket(self.spec)
+            self._buckets[tenant] = existing
+        return existing
+
+    def _prune(self) -> None:
+        now = current_clock().monotonic()
+        if now < self._next_prune:
+            return
+        self._buckets = {
+            name: kept
+            for name, kept in self._buckets.items()
+            if not kept.is_full(now)
+        }
+        self._next_prune = now + self.spec.burst / self.spec.rate_per_s
 
     def reconfigure(self, spec: QuotaSpec | None) -> None:
         """Swap in *spec* for every tenant, atomically.
 
         Hot reload (SIGHUP / ``POST /v1/admin/reload``) replaces the
         spec and drops the existing buckets, so every tenant starts a
-        fresh burst under the new policy; in-flight :meth:`check`
-        calls finish against the old buckets, which is fine -- a
-        reload is a policy change, not a fence.  ``spec=None`` turns
+        fresh burst under the new policy.  ``spec=None`` turns
         quotas off.
         """
         with self._lock:
             self.spec = spec
             self._buckets = {}
+            self._next_prune = -math.inf
 
     def check(self, tenant: str) -> None:
         """Admit one request for *tenant* or raise
         :class:`~repro.errors.QuotaExceededError` carrying the retry
         delay (seconds, rounded up to a positive value)."""
-        if self.spec is None:
-            return
-        retry_after = self.bucket(tenant).try_acquire()
+        # acquire under the registry lock: a prune must never drop a
+        # bucket between its lookup and the token it hands out
+        with self._lock:
+            spec = self.spec
+            if spec is None:
+                return
+            retry_after = self._bucket_locked(tenant).try_acquire()
         if retry_after > 0.0:
             raise QuotaExceededError(
                 f"tenant {tenant!r} exceeded its quota of "
-                f"{self.spec}; retry in {retry_after:.3f}s",
+                f"{spec}; retry in {retry_after:.3f}s",
                 tenant=tenant,
                 retry_after_s=retry_after,
             )

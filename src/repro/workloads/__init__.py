@@ -7,9 +7,6 @@ from .generator import (
     chain_predicate,
     chain_query,
     scaled_database,
-    scaling_join_database,
-    scaling_join_predicate,
-    scaling_join_query,
 )
 from .gov import GOV_QUERIES, build_gov_db
 from .imdb import IMDB_QUERIES, build_imdb_db
@@ -42,8 +39,5 @@ __all__ = [
     "get_canonical",
     "get_database",
     "scaled_database",
-    "scaling_join_database",
-    "scaling_join_predicate",
-    "scaling_join_query",
     "use_case_setup",
 ]

@@ -9,28 +9,11 @@ workload whose depth and fan-out are fully controllable.
 
 from __future__ import annotations
 
-import bisect
 import random
 
 from ..errors import ConfigurationError
 from ..relational.database import Database
 from ..core.canonical import JoinPair, SPJASpec
-
-
-def _zipf_sampler(rng: random.Random, n: int, exponent: float):
-    """A seeded sampler of ranks ``0..n-1`` with Zipf weight
-    ``1/(rank+1)**exponent`` (rank 0 most popular)."""
-    weights = [1.0 / (rank + 1) ** exponent for rank in range(n)]
-    cumulative: list[float] = []
-    total = 0.0
-    for w in weights:
-        total += w
-        cumulative.append(total)
-
-    def sample() -> int:
-        return bisect.bisect_left(cumulative, rng.random() * total)
-
-    return sample
 
 
 def scaled_database(name: str, scale: int) -> Database:
@@ -45,7 +28,6 @@ def chain_database(
     rows_per_relation: int,
     fanout: int = 2,
     seed: int = 99,
-    zipf: float = 0.0,
 ) -> Database:
     """A synthetic chain of relations ``R0 - R1 - ... - Rk``.
 
@@ -53,26 +35,12 @@ def chain_database(
     ``R_{i+1}.id`` with the given fan-out (each id matched by *fanout*
     keys on average).  A designated "needle" value threads relation 0
     but is dropped from the last relation -- giving every chain query a
-    non-trivially missing answer.
-
-    ``zipf`` skews the join-key distribution: ``0.0`` (default) keeps
-    the historical uniform draw (byte-identical databases for existing
-    seeds); ``> 0.0`` draws keys with Zipf weight
-    ``1/(rank+1)**zipf``, concentrating matches on a few hot ids --
-    the join-heavy shape the columnar perf-gate suite scales.  Both
-    paths are seeded and fully deterministic.
+    non-trivially missing answer.  Seeded and fully deterministic.
     """
     if relations < 2:
         raise ConfigurationError("a chain needs at least two relations")
-    if zipf < 0.0:
-        raise ConfigurationError("zipf exponent must be >= 0")
     rng = random.Random(seed)
     key_range = max(1, rows_per_relation // fanout)
-    sample_key = (
-        _zipf_sampler(rng, key_range, zipf)
-        if zipf > 0.0
-        else (lambda: rng.randrange(key_range))
-    )
     db = Database("chain")
     for index in range(relations):
         db.create_table(f"R{index}", ["id", "key", "label"], key="id")
@@ -82,7 +50,7 @@ def chain_database(
             db.insert(
                 f"R{index}",
                 id=row,
-                key=sample_key(),
+                key=rng.randrange(key_range),
                 label=f"r{index}v{row % 10}",
             )
     # the needle: label "needle" exists in R0 but its key chain breaks
@@ -116,42 +84,3 @@ def chain_query(relations: int) -> SPJASpec:
 def chain_predicate() -> str:
     """The why-not question for the chain workload."""
     return "(R0.label: needle)"
-
-
-#: defaults of the ``scaling_join`` workload (the columnar gate suite)
-SCALING_JOIN_RELATIONS = 3
-SCALING_JOIN_ROWS = 2000
-SCALING_JOIN_FANOUT = 3
-SCALING_JOIN_ZIPF = 1.1
-SCALING_JOIN_SEED = 1234
-
-
-def scaling_join_database(
-    rows: int = SCALING_JOIN_ROWS,
-    zipf: float = SCALING_JOIN_ZIPF,
-    seed: int = SCALING_JOIN_SEED,
-) -> Database:
-    """The join-heavy scaling workload: a skewed three-relation chain.
-
-    Zipf-skewed keys concentrate join matches on hot ids, so the
-    intermediate join results grow superlinearly in *rows* -- the
-    regime where batch-at-a-time execution pays off.  Deterministic
-    for a given ``(rows, zipf, seed)``.
-    """
-    return chain_database(
-        relations=SCALING_JOIN_RELATIONS,
-        rows_per_relation=rows,
-        fanout=SCALING_JOIN_FANOUT,
-        seed=seed,
-        zipf=zipf,
-    )
-
-
-def scaling_join_query() -> SPJASpec:
-    """The chain join over :func:`scaling_join_database`."""
-    return chain_query(SCALING_JOIN_RELATIONS)
-
-
-def scaling_join_predicate() -> str:
-    """The why-not question for the scaling_join workload."""
-    return chain_predicate()

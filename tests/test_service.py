@@ -55,7 +55,9 @@ from repro.service import (
     TokenBucket,
     serve,
 )
+from repro.relational.evalcache import CACHE_MAXSIZE
 from repro.service.client import ServiceClient
+from repro.service.quota import QUOTA_BUCKETS
 from repro.service.state import ENGINE_CAPACITY
 
 _SRC = str(Path(repro.__file__).resolve().parents[1])
@@ -171,6 +173,87 @@ class TestQuotaRegistry:
                 registry.check("alice")
         assert excinfo.value.tenant == "alice"
         assert excinfo.value.retry_after_s == pytest.approx(0.5)
+
+    def test_fresh_tenant_stream_stays_bounded(self):
+        clock = ManualClock()
+        with use_clock(clock):
+            registry = QuotaRegistry(QuotaSpec(rate_per_s=10.0, burst=2))
+            for i in range(5000):
+                registry.check(f"burst-{i}")
+            # every bucket spent a token this instant: none may go
+            assert len(registry) == 5000
+            most = 0
+            for i in range(3000):
+                clock.advance(0.21)  # past a full refill: burst / rate
+                registry.check(f"stream-{i}")
+                most = max(most, len(registry))
+        assert most <= QUOTA_BUCKETS
+
+    def test_prune_keeps_a_spent_bucket(self):
+        clock = ManualClock()
+        spec = QuotaSpec(rate_per_s=1.0, burst=2)
+        with use_clock(clock):
+            registry = QuotaRegistry(spec)
+            control = TokenBucket(spec)  # same calls, never pruned
+            for _ in range(2):
+                registry.check("hog")
+                control.try_acquire()
+            for i in range(QUOTA_BUCKETS - 1):
+                registry.check(f"filler-{i}")
+            clock.advance(1.5)  # fillers refilled, hog at 1.5 tokens
+            registry.check("newcomer")  # at the bound: prunes
+            assert len(registry) == 2  # hog and newcomer
+            registry.check("hog")
+            assert control.try_acquire() == 0.0
+            expected = control.try_acquire()
+            assert expected > 0.0
+            with pytest.raises(QuotaExceededError) as excinfo:
+                registry.check("hog")
+        assert excinfo.value.retry_after_s == pytest.approx(expected)
+
+    def test_concurrent_checks_never_grant_extra_tokens(self):
+        """Threads share the registry while fresh tenants keep it at
+        the bound and the clock moves: however checks and prunes
+        interleave, one tenant is never admitted more than its burst
+        plus what the elapsed time refilled."""
+        clock = ManualClock()
+        spec = QuotaSpec(rate_per_s=1.0, burst=3)
+        registry = QuotaRegistry(spec)
+        admitted: list[int] = []
+        lock = threading.Lock()
+
+        def worker(index: int) -> None:
+            count = 0
+            with use_clock(clock):  # context vars do not cross threads
+                for step in range(400):
+                    registry.check(f"w{index}-{step}")
+                    if step % 7 == 0:
+                        clock.advance(0.01)
+                        try:
+                            registry.check("hog")
+                            count += 1
+                        except QuotaExceededError:
+                            pass
+            with lock:
+                admitted.append(count)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [
+                threading.Thread(target=worker, args=(i,))
+                for i in range(8)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert len(admitted) == 8
+        elapsed = clock.monotonic()
+        assert sum(admitted) <= spec.burst + spec.rate_per_s * elapsed
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +408,22 @@ class TestServiceState:
         assert ("crime", texts[extra + 1]) not in state._engines
         metrics = state.metrics_document()["metrics"]
         assert metrics["service.engines.held"]["value"] == ENGINE_CAPACITY
+
+    def test_evaluation_cache_is_bounded(self):
+        """Unseen SQL per request never hits an old evaluation again;
+        the database's cache keeps at most CACHE_MAXSIZE of them."""
+        state = self._state()
+        state.register_database(REGISTER)
+        for i in range(CACHE_MAXSIZE + 8):
+            state.explain_single(
+                _explain_body(
+                    sql="SELECT Person.name FROM Person "
+                    f"WHERE Person.hair = 'h{i}'"
+                )
+            )
+        cache = state._caches["crime"]
+        assert cache.stats.evaluations == CACHE_MAXSIZE + 8
+        assert len(cache) <= CACHE_MAXSIZE
 
     def test_batch_journals_and_is_idempotent(self, tmp_path):
         state = self._state(tmp_path)

