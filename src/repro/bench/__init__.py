@@ -1,5 +1,7 @@
-"""Benchmark harness: runners, phase accounting, table/figure renderers
-for the paper's evaluation (Table 5, Fig. 5, Fig. 6)."""
+"""Benchmark harness: one registry of benchmarks and one timing loop
+(:mod:`repro.bench.runner`), the regression gate over it
+(:mod:`repro.bench.gate`), and the ``BENCH_*`` artifacts rendered from
+the gate's report (:mod:`repro.bench.artifacts`)."""
 
 from .baselines import (
     BaselineEntry,
@@ -8,20 +10,16 @@ from .baselines import (
     read_suite_baseline,
     write_suite_baseline,
 )
-from .phases import PhaseAccumulator, dominant_phase, merge_accumulators
-from .report import (
-    render_all,
-    render_fig5,
-    render_fig6,
-    render_table3,
-    render_table4,
-    render_table5,
-)
+from .report import render_table5
 from .runner import (
+    SUITES,
+    BenchmarkSpec,
     Measurement,
     UseCaseResult,
     mad,
     measure,
+    measure_interleaved,
+    pushed_down_q8,
     reduce_samples,
     run_all,
     run_use_case,
@@ -30,32 +28,28 @@ from .runner import (
 
 __all__ = [
     "BaselineEntry",
+    "BenchmarkSpec",
     "GateReport",
     "Measurement",
-    "PhaseAccumulator",
+    "SUITES",
     "SuiteBaseline",
     "Thresholds",
     "UseCaseResult",
     "allowed_regression_ms",
     "baseline_dir",
-    "collect_phases",
-    "collect_runtime",
     "compare_measurement",
     "diff_counters",
-    "dominant_phase",
     "mad",
     "measure",
-    "merge_accumulators",
+    "measure_interleaved",
     "phases_payload",
+    "pushed_down_q8",
     "read_bench_artifact",
+    "read_gate_report",
     "read_suite_baseline",
     "read_trajectory",
     "reduce_samples",
-    "render_all",
-    "render_fig5",
-    "render_fig6",
-    "render_table3",
-    "render_table4",
+    "render_artifacts",
     "render_table5",
     "run_all",
     "run_check",
@@ -65,7 +59,6 @@ __all__ = [
     "runtime_payload",
     "use_case_factory",
     "write_bench_artifact",
-    "write_sample_trace",
     "write_suite_baseline",
 ]
 
@@ -83,13 +76,12 @@ _LAZY_EXPORTS = {
     "run_check": "gate",
     "run_report": "gate",
     "run_update": "gate",
-    "collect_phases": "artifacts",
-    "collect_runtime": "artifacts",
     "phases_payload": "artifacts",
     "read_bench_artifact": "artifacts",
+    "read_gate_report": "artifacts",
+    "render_artifacts": "artifacts",
     "runtime_payload": "artifacts",
     "write_bench_artifact": "artifacts",
-    "write_sample_trace": "artifacts",
 }
 
 

@@ -1,28 +1,23 @@
-"""Machine-readable benchmark artifacts (``BENCH_*.json``).
+"""Machine-readable benchmark artifacts (``BENCH_*``), rendered from a
+perf-gate report.
 
-The evaluation figures were reproduced as rendered text tables from day
-one, but nothing machine-readable survived a benchmark run -- CI could
-not diff a regression and the repo carried no canonical numbers.  This
-module fixes that with one tiny file format:
+The gate (:mod:`repro.bench.gate`) measures every registry benchmark
+through :func:`repro.bench.runner.measure`; this module turns one of
+its ``check --report`` documents into the evaluation artifacts without
+timing or explaining anything itself:
 
-* :func:`write_bench_artifact` writes ``BENCH_{name}.json`` into the
-  benchmark artifact directory (``REPRO_BENCH_DIR`` or the current
-  working directory), wrapping the payload with format metadata;
-* :func:`phases_payload` / :func:`runtime_payload` shape the Fig. 5 and
-  Fig. 6 measurements into stable JSON;
-* :func:`collect_phases` / :func:`collect_runtime` produce those
-  measurements standalone -- no pytest-benchmark required -- so both
-  the benchmark suite and a bare ``python -m repro.bench.artifacts``
-  emit identical artifacts;
-* :func:`write_sample_trace` runs one use case under tracing and saves
-  the JSON-lines span trace alongside the numbers.
+* ``BENCH_phases.json`` -- Fig. 5, the per-phase medians of every
+  ``usecases`` benchmark;
+* ``BENCH_runtime.json`` -- Fig. 6, NedExplain (``usecases``) against
+  the Why-Not baseline (``whynot``);
+* ``BENCH_trace_sample.jsonl`` -- the traced counter run the report
+  carries (:data:`repro.bench.gate.TRACE_SAMPLE`);
 
-Running the module is the CI entry point::
+and prints the Fig. 5/6 tables plus the ablation tables A1-A4 and the
+batch comparison.  Regenerating everything is::
 
-    python -m repro.bench.artifacts --out-dir .
-
-writes ``BENCH_phases.json``, ``BENCH_runtime.json`` and
-``BENCH_trace_sample.jsonl``.
+    python -m repro.bench.gate check --no-trajectory --report GATE_report.json
+    python -m repro.bench.artifacts --report GATE_report.json --out-dir .
 """
 
 from __future__ import annotations
@@ -30,15 +25,23 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
+from ..core.nedexplain import PHASES
 from ..errors import ConfigurationError, UnsupportedQueryError
-from ..obs import Tracer, tracing, write_trace_jsonl
+from ..workloads.usecases import USE_CASES
+from .runner import (
+    CHAIN_DEPTHS,
+    GATE_SCALE,
+    SCALE_USE_CASES,
+    SCALES,
+    use_case_factory,
+)
 
 BENCH_FORMAT = "repro.bench"
 BENCH_FORMAT_VERSION = 1
+
 
 def bench_dir() -> Path:
     """Artifact directory: ``$REPRO_BENCH_DIR`` or the cwd."""
@@ -86,21 +89,51 @@ def read_bench_artifact(path: Path | str) -> Any:
     return document["data"]
 
 
+def read_gate_report(path: Path | str) -> dict:
+    """Parse a ``gate check --report`` document.
+
+    Raises :class:`~repro.errors.ConfigurationError` for a file that is
+    not a check report or carries no measurements (an ``error`` run).
+    """
+    try:
+        report = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigurationError(
+            f"cannot read gate report {path}: {exc}"
+        ) from exc
+    if not isinstance(report, dict) or report.get("command") != "check":
+        raise ConfigurationError(
+            f"{path} is not a `repro.bench.gate check` report"
+        )
+    if not report.get("results"):
+        raise ConfigurationError(
+            f"{path} carries no measurements (status "
+            f"{report.get('status')!r}: {report.get('errors')})"
+        )
+    return report
+
+
+def _medians(report: Mapping) -> dict[str, float]:
+    """Benchmark name -> median ms (names are unique across suites)."""
+    return {r["name"]: r["median_ms"] for r in report["results"]}
+
+
 # ---------------------------------------------------------------------------
 # Payload shapes
 # ---------------------------------------------------------------------------
-def phases_payload(results: Sequence) -> dict:
-    """Fig. 5 payload from :class:`~repro.bench.runner.UseCaseResult`s.
-
-    Per use case: absolute per-phase milliseconds and the percentage
-    distribution the figure plots.
-    """
+def phases_payload(report: Mapping) -> dict:
+    """Fig. 5 payload: per use case, the absolute per-phase medians and
+    the percentage distribution the figure plots."""
+    results = {r["name"]: r for r in report["results"]}
     use_cases: dict[str, dict] = {}
-    for result in results:
-        times = dict(result.ned.phase_times_ms)
+    for uc in USE_CASES:
+        result = results.get(f"{uc.name}.ned")
+        if result is None:
+            continue
+        times = dict(result["phases_ms"])
         total = sum(times.values())
-        use_cases[result.use_case.name] = {
-            "query": result.use_case.query,
+        use_cases[uc.name] = {
+            "query": uc.query,
             "phase_times_ms": times,
             "total_ms": total,
             "percent": {
@@ -111,31 +144,36 @@ def phases_payload(results: Sequence) -> dict:
     return {
         "figure": "5",
         "unit": "ms",
+        "repeats": report["repeats"],
+        "warmup": report["warmup"],
         "use_cases": use_cases,
     }
 
 
-def runtime_payload(
-    medians: Mapping[str, Mapping[str, float]],
-    scale: int,
-    na_reasons: Mapping[str, str] | None = None,
-) -> dict:
-    """Fig. 6 payload from per-use-case median runtimes.
+def _whynot_na_reason(name: str) -> str:
+    try:
+        use_case_factory(name, "whynot")
+    except UnsupportedQueryError:
+        return "unsupported"
+    return "not-measured"
 
-    *medians* maps use-case name to ``{"ned": ms, "whynot": ms}``
-    (``"whynot"`` absent when the baseline could not run).
-    *na_reasons* maps such use cases to *why* the baseline number is
-    missing (``"unsupported"`` for aggregation queries the Why-Not
-    baseline cannot trace, ``"budget-exhausted"`` for a timed-out
-    run) -- a null ``whynot_ms`` without a recorded reason would read
-    as a measurement bug, so the serializer refuses to leave it
-    unexplained and emits an explicit ``"speedup": null`` alongside.
+
+def runtime_payload(report: Mapping) -> dict:
+    """Fig. 6 payload: per use case, the NedExplain and Why-Not medians.
+
+    A use case without a Why-Not number records *why*
+    (``whynot_na_reason``: ``"unsupported"`` for the aggregation
+    queries the baseline cannot trace, ``"not-measured"`` when the
+    report simply lacks it) next to an explicit ``"speedup": null`` --
+    a bare null would read as a measurement bug.
     """
-    na_reasons = na_reasons or {}
+    medians = _medians(report)
     use_cases: dict[str, dict] = {}
-    for name, values in medians.items():
-        ned = values.get("ned")
-        whynot = values.get("whynot")
+    for uc in USE_CASES:
+        ned = medians.get(f"{uc.name}.ned")
+        if ned is None:
+            continue
+        whynot = medians.get(f"{uc.name}.whynot")
         entry: dict[str, Any] = {
             "nedexplain_ms": ned,
             "whynot_ms": whynot,
@@ -144,196 +182,226 @@ def runtime_payload(
             entry["speedup"] = whynot / ned
         else:
             entry["speedup"] = None
-            entry["whynot_na_reason"] = na_reasons.get(
-                name, "not-measured"
-            )
-        use_cases[name] = entry
+            entry["whynot_na_reason"] = _whynot_na_reason(uc.name)
+        use_cases[uc.name] = entry
     return {
         "figure": "6",
         "unit": "ms",
-        "scale": scale,
+        "scale": GATE_SCALE,
+        "repeats": report["repeats"],
+        "warmup": report["warmup"],
         "use_cases": use_cases,
     }
 
 
-# ---------------------------------------------------------------------------
-# Standalone collection (no pytest-benchmark required)
-# ---------------------------------------------------------------------------
-def collect_phases(
-    repeats: int = 3,
-    scale: int = 1,
-    warmup: int = 1,
-) -> dict:
-    """Measure the Fig. 5 phase distribution over every use case.
-
-    Runs each use case *warmup* untimed times plus *repeats* measured
-    times and keeps the per-phase medians, shaped by
-    :func:`phases_payload`.
-    """
-    from ..core import NedExplain
-    from ..workloads import USE_CASES, use_case_setup
-
-    from .runner import UseCaseResult
-
-    if repeats < 1:
-        raise ConfigurationError(
-            f"repeats must be positive, got {repeats!r}"
-        )
-    if warmup < 0:
-        raise ConfigurationError(
-            f"warmup must be non-negative, got {warmup!r}"
-        )
-    results = []
-    for uc in USE_CASES:
-        use_case, database, canonical = use_case_setup(uc.name, scale)
-        ned_engine = NedExplain(canonical, database=database)
-        for _ in range(warmup):
-            ned_engine.explain(use_case.predicate)
-        samples: dict[str, list[float]] = {}
-        report = None
-        for _ in range(repeats):
-            report = ned_engine.explain(use_case.predicate)
-            for phase, value in report.phase_times_ms.items():
-                samples.setdefault(phase, []).append(value)
-        assert report is not None
-        report.phase_times_ms = {
-            phase: statistics.median(values)
-            for phase, values in samples.items()
-        }
-        results.append(UseCaseResult(use_case=use_case, ned=report))
-    payload = phases_payload(results)
-    payload["repeats"] = repeats
-    payload["warmup"] = warmup
-    return payload
-
-
-def collect_runtime(
-    repeats: int = 3,
-    scale: int = 2,
-    warmup: int = 1,
-) -> dict:
-    """Measure the Fig. 6 runtime comparison over every use case.
-
-    Measurement goes through the perf-gate protocol
-    (:func:`repro.bench.runner.measure`: warmups, repeats, median
-    reduction) so the CI bench artifacts and the regression gate share
-    one measurement discipline.  A use case whose baseline number is
-    missing records *why* (``whynot_na_reason``) instead of silently
-    dropping the column.
-    """
-    from ..errors import BudgetExceededError
-    from ..workloads import USE_CASES
-
-    from .runner import measure, use_case_factory
-
-    if repeats < 1:
-        raise ConfigurationError(
-            f"repeats must be positive, got {repeats!r}"
-        )
-    medians: dict[str, dict[str, float]] = {}
-    na_reasons: dict[str, str] = {}
-    for uc in USE_CASES:
-        ned = measure(
-            use_case_factory(uc.name, "ned", scale),
-            name=f"{uc.name}.ned",
-            repeats=repeats,
-            warmup=warmup,
-        )
-        medians[uc.name] = {"ned": ned.median_ms}
-        try:
-            whynot_factory = use_case_factory(
-                uc.name, "whynot", scale
-            )
-        except UnsupportedQueryError:
-            na_reasons[uc.name] = "unsupported"
-            continue
-        try:
-            whynot = measure(
-                whynot_factory,
-                name=f"{uc.name}.whynot",
-                repeats=repeats,
-                warmup=warmup,
-            )
-        except BudgetExceededError:
-            na_reasons[uc.name] = "budget-exhausted"
-            continue
-        medians[uc.name]["whynot"] = whynot.median_ms
-    payload = runtime_payload(medians, scale, na_reasons)
-    payload["repeats"] = repeats
-    payload["warmup"] = warmup
-    return payload
-
-
-def write_sample_trace(
-    use_case: str = "Crime5",
-    path: Path | str | None = None,
-    scale: int = 1,
-) -> Path:
-    """Run one use case under tracing; save the JSON-lines trace."""
-    from ..core import NedExplain
-    from ..workloads import use_case_setup
-
-    uc, database, canonical = use_case_setup(use_case, scale)
-    engine = NedExplain(canonical, database=database)
-    tracer = Tracer()
-    with tracing(tracer):
-        engine.explain(uc.predicate)
-    if path is None:
-        path = bench_dir() / "BENCH_trace_sample.jsonl"
+def write_sample_trace(report: Mapping, path: Path | str) -> Path | None:
+    """Write the report's trace sample as JSON lines (None: the report
+    carries none because its benchmark was filtered out)."""
+    sample = report.get("trace_sample")
+    if not sample:
+        return None
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    return write_trace_jsonl(tracer, path)
+    path.write_text(
+        "".join(json.dumps(record) + "\n" for record in sample["records"]),
+        encoding="utf-8",
+    )
+    return path
+
+
+# ---------------------------------------------------------------------------
+# Text tables
+# ---------------------------------------------------------------------------
+def _cell(value: float | None) -> str:
+    return "-" if value is None else f"{value:.3f}"
+
+
+def _pair_table(
+    title: str,
+    report: Mapping,
+    first: str,
+    second: str,
+    counter: str,
+    rows: Sequence[tuple[str, str, str]],
+) -> str:
+    """Two benchmarks per row ``(label, first, second)``: both medians
+    and both values of the exact *counter*, plus column totals; rows
+    the report has neither side of are left out.  No median ratio:
+    near 1x it swaps sides between runs on a shared host, while the
+    counters say exactly which side does more work."""
+    results = {r["name"]: r for r in report["results"]}
+    table = []
+    for label, a, b in rows:
+        if a in results or b in results:
+            pair = [results.get(a), results.get(b)]
+            table.append(
+                (label, [r and r["median_ms"] for r in pair]
+                 + [r and r["counters"].get(counter) for r in pair])
+            )
+    if len(table) > 1:
+        columns = zip(*(values for _, values in table))
+        table.append(
+            ("TOTAL", [sum(v for v in c if v is not None) for c in columns])
+        )
+    lines = [
+        title,
+        f"{'':<18}{'median ms':>24}{counter:>24}",
+        f"{'':<18}" + f"{first:>12}{second:>12}" * 2,
+    ]
+    for index, (label, (ma, mb, ca, cb)) in enumerate(table):
+        if index == 0 or label == "TOTAL":
+            lines.append("-" * 66)
+        counts = "".join(f"{'-' if c is None else c:>12}" for c in (ca, cb))
+        lines.append(f"{label:<18}{_cell(ma):>12}{_cell(mb):>12}{counts}")
+    return "\n".join(lines)
+
+
+def render_fig5(phases: Mapping) -> str:
+    """Fig. 5: phase-wise runtime distribution for NedExplain (%)."""
+    lines = [
+        "Fig. 5: % time distribution over NedExplain phases",
+        f"{'Use case':<10}" + "".join(f"{p:>18}" for p in PHASES),
+        "-" * (10 + 18 * len(PHASES)),
+    ]
+    for name, entry in phases["use_cases"].items():
+        lines.append(
+            f"{name:<10}"
+            + "".join(
+                f"{entry['percent'].get(p, 0.0):>17.1f}%" for p in PHASES
+            )
+        )
+    return "\n".join(lines)
+
+
+def _use_case_rows(
+    first: str, second: str
+) -> list[tuple[str, str, str]]:
+    """``(use case, its *first* benchmark, its *second* benchmark)``
+    for every Table 4 use case, by algorithm name."""
+    return [
+        (uc.name, f"{uc.name}.{first}", f"{uc.name}.{second}")
+        for uc in USE_CASES
+    ]
+
+
+def render_fig6(report: Mapping) -> str:
+    """Fig. 6: NedExplain vs Why-Not execution time (median ms)."""
+    return _pair_table(
+        f"Fig. 6: NedExplain and Why-Not execution time "
+        f"(scale {GATE_SCALE})",
+        report,
+        "NedExplain",
+        "Why-Not",
+        "budget.comparisons",
+        _use_case_rows("ned", "whynot"),
+    )
+
+
+def render_ablations(report: Mapping) -> str:
+    """The ablation tables A1-A4 and the batch comparison."""
+    median = _medians(report).get
+    scaling = [
+        (f"{name} x{scale}", median(f"{name}.x{scale}.ned"))
+        for name in SCALE_USE_CASES
+        for scale in SCALES
+    ] + [
+        (f"chain depth {depth}", median(f"chain_depth{depth}.ned"))
+        for depth in CHAIN_DEPTHS
+    ]
+    a1 = ["Ablation A1: NedExplain runtime vs scale (median ms)"] + [
+        f"{label:<18}{_cell(value):>16}"
+        for label, value in scaling
+        if value is not None
+    ]
+    tables = [
+        "\n".join(a1),
+        _pair_table(
+            "Ablation A2: Q8 selection placement, Crime9",
+            report,
+            "canonical",
+            "pushed",
+            "budget.comparisons",
+            [("Crime9", "Crime9.ned", "Crime9.ned_pushdown")],
+        ),
+        _pair_table(
+            "Ablation A3: early termination (Alg. 2)",
+            report,
+            "on",
+            "off",
+            "successors.checks",
+            _use_case_rows("ned", "ned_et_off"),
+        ),
+        _pair_table(
+            "Ablation A4: Why-Not traversal order",
+            report,
+            "bottom-up",
+            "top-down",
+            "budget.comparisons",
+            _use_case_rows("whynot", "whynot_topdown"),
+        ),
+        _pair_table(
+            "Batch: 12 questions, one shared evaluation",
+            report,
+            "batched",
+            "independent",
+            "budget.comparisons",
+            [("chain3x60", "chain3x60.batched", "chain3x60.independent")],
+        ),
+    ]
+    return "\n\n".join(tables)
+
+
+def render_artifacts(
+    report: Mapping, out_dir: Path | str | None = None
+) -> tuple[list[Path], str]:
+    """Write every artifact of *report*; return the paths written and
+    the rendered tables."""
+    out_dir = Path(out_dir) if out_dir is not None else bench_dir()
+    phases = phases_payload(report)
+    runtime = runtime_payload(report)
+    written = [
+        write_bench_artifact("phases", phases, out_dir),
+        write_bench_artifact("runtime", runtime, out_dir),
+    ]
+    trace = write_sample_trace(
+        report, out_dir / "BENCH_trace_sample.jsonl"
+    )
+    if trace is not None:
+        written.append(trace)
+    text = "\n\n".join(
+        (render_fig5(phases), render_fig6(report), render_ablations(report))
+    )
+    return written, text
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro.bench.artifacts",
-        description="regenerate the BENCH_*.json evaluation artifacts",
+        description="render the BENCH_* evaluation artifacts from a "
+        "`repro.bench.gate check --report` document",
+    )
+    parser.add_argument(
+        "--report",
+        required=True,
+        metavar="PATH",
+        help="the gate check report to render",
     )
     parser.add_argument(
         "--out-dir",
         default=None,
         help="artifact directory (default: $REPRO_BENCH_DIR or cwd)",
     )
-    parser.add_argument(
-        "--repeats", type=int, default=3, help="runs per measurement"
-    )
-    parser.add_argument(
-        "--runtime-scale",
-        type=int,
-        default=2,
-        dest="runtime_scale",
-        help="scale factor for the Fig. 6 runtime comparison",
-    )
-    parser.add_argument(
-        "--trace-use-case",
-        default="Crime5",
-        dest="trace_use_case",
-        help="use case recorded in the sample trace",
-    )
     args = parser.parse_args(argv)
-    out_dir = Path(args.out_dir) if args.out_dir else bench_dir()
-
-    phases = write_bench_artifact(
-        "phases",
-        collect_phases(repeats=args.repeats),
-        out_dir,
-    )
-    print(f"wrote {phases}")
-    runtime = write_bench_artifact(
-        "runtime",
-        collect_runtime(
-            repeats=args.repeats,
-            scale=args.runtime_scale,
-        ),
-        out_dir,
-    )
-    print(f"wrote {runtime}")
-    trace = write_sample_trace(
-        args.trace_use_case,
-        out_dir / "BENCH_trace_sample.jsonl",
-    )
-    print(f"wrote {trace}")
+    try:
+        report = read_gate_report(args.report)
+    except ConfigurationError as exc:
+        print(f"error: {exc}")
+        return 2
+    written, text = render_artifacts(report, args.out_dir)
+    print(text)
+    print()
+    for path in written:
+        print(f"wrote {path}")
     return 0
 
 

@@ -5,8 +5,9 @@ by orders of magnitude, Fig. 5/6); five PRs of caching, budgets and
 parallelism optimized the hot paths -- but until now nothing *failed*
 when one of them regressed.  This module is that gate:
 
-* ``check`` re-measures the benchmark suites (warmups + median-of-k,
-  MAD noise bands) and compares against the committed baselines in
+* ``check`` re-measures the benchmark suites of the registry
+  (:data:`repro.bench.runner.SUITES`; warmups + median-of-k, MAD noise
+  bands) and compares against the committed baselines in
   ``benchmarks/baselines/``.  Wall-clock comparisons are noise-aware
   (relative tolerance, MAD band, host-speed calibration); the
   deterministic counters (``budget.rows``, ``budget.comparisons``,
@@ -14,7 +15,9 @@ when one of them regressed.  This module is that gate:
   algorithmic regression is caught even when CI wall-clock is too noisy
   to trust.  Exit codes: 0 clean, 1 regression, 2 torn/stale baseline
   or usage error.  Every completed check appends one entry to
-  ``BENCH_trajectory.json`` -- the perf trajectory over PRs.
+  ``BENCH_trajectory.json`` -- the perf trajectory over PRs.  Its
+  ``--report`` document is what :mod:`repro.bench.artifacts` renders
+  the ``BENCH_*`` evaluation artifacts from.
 * ``update`` re-measures and rewrites the baselines (the honest way to
   accept an intentional perf change -- see ``docs/benchmarking.md``).
 * ``report`` renders the trajectory.
@@ -31,15 +34,14 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Mapping, Sequence
 
 from ..errors import ConfigurationError
-from ..obs.clock import perf_counter
+from ..obs.export import trace_records
 from ..storage.backend import atomic_write_json
 from .artifacts import bench_dir
 from .baselines import (
@@ -49,14 +51,20 @@ from .baselines import (
     read_suite_baseline,
     write_suite_baseline,
 )
-from .runner import Measurement, measure, use_case_factory
+from .runner import (
+    SUITES,
+    BenchmarkSpec,
+    Measurement,
+    measure,
+    measure_interleaved,
+)
 
 TRAJECTORY_FORMAT = "repro.bench.trajectory"
 TRAJECTORY_FORMAT_VERSION = 1
 
-#: Scale factor the gate benchmarks run at (small: the gate must be
-#: cheap enough to run on every PR).
-GATE_SCALE = 1
+#: The benchmark whose traced counter run a check report carries as
+#: its trace sample (``BENCH_trace_sample.jsonl``).
+TRACE_SAMPLE = "Crime5.ned"
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +144,7 @@ class CheckResult:
     median_ms: float | None = None
     mad_ms: float | None = None
     counters: Mapping[str, int] = field(default_factory=dict)
+    phases_ms: Mapping[str, float] = field(default_factory=dict)
     baseline_median_ms: float | None = None
     adjusted_baseline_median_ms: float | None = None
     delta_ms: float | None = None
@@ -159,6 +168,7 @@ class CheckResult:
             "median_ms": self.median_ms,
             "mad_ms": self.mad_ms,
             "counters": dict(self.counters),
+            "phases_ms": dict(self.phases_ms),
             "baseline_median_ms": self.baseline_median_ms,
             "adjusted_baseline_median_ms": (
                 self.adjusted_baseline_median_ms
@@ -238,6 +248,7 @@ def compare_measurement(
         median_ms=measurement.median_ms,
         mad_ms=measurement.mad_ms,
         counters=dict(measurement.counters),
+        phases_ms=dict(measurement.phases_ms),
         baseline_median_ms=baseline.median_ms,
         adjusted_baseline_median_ms=adjusted_median,
         delta_ms=delta,
@@ -257,125 +268,28 @@ def _spin() -> int:
     return total
 
 
+#: the pseudo-benchmark name of the calibration spin in a measurement
+#: schedule (never a registry name)
+CALIBRATION = "host.calibration"
+
+
 def calibrate(repeats: int = 5) -> float:
     """Median runtime (ms) of a fixed pure-Python spin loop.
 
     Recorded into every baseline at ``update`` time and re-measured at
     ``check`` time; the ratio rescales committed wall-clock numbers to
-    the current host's speed.
+    the current host's speed.  A gate run times the spin interleaved
+    with the benchmarks (:func:`_measure_specs`), so the calibration
+    samples the same stretch of time the benchmarks do.
     """
-    samples = []
-    for _ in range(repeats):
-        started = perf_counter()
-        _spin()
-        samples.append((perf_counter() - started) * 1000.0)
-    return statistics.median(samples)
+    return measure(
+        lambda: _spin, name=CALIBRATION, repeats=repeats, warmup=0
+    ).median_ms
 
 
 # ---------------------------------------------------------------------------
-# Benchmark suites
+# Benchmark selection
 # ---------------------------------------------------------------------------
-@dataclass(frozen=True)
-class BenchmarkSpec:
-    """One gated benchmark: a suite, a name, a measure() factory."""
-
-    suite: str
-    name: str
-    factory: Callable[[], Callable[[], object]]
-
-
-def _usecase_specs() -> list[BenchmarkSpec]:
-    """Every Table 4 use case through NedExplain (Fig. 5/6 ned side)."""
-    from ..workloads import USE_CASES
-
-    return [
-        BenchmarkSpec(
-            "usecases",
-            f"{uc.name}.ned",
-            use_case_factory(uc.name, "ned", GATE_SCALE),
-        )
-        for uc in USE_CASES
-    ]
-
-
-def _whynot_specs() -> list[BenchmarkSpec]:
-    """The Why-Not baseline side of Fig. 6 (supported queries only)."""
-    from ..errors import UnsupportedQueryError
-    from ..workloads import USE_CASES
-
-    specs = []
-    for uc in USE_CASES:
-        try:
-            factory = use_case_factory(uc.name, "whynot", GATE_SCALE)
-        except UnsupportedQueryError:
-            continue
-        specs.append(
-            BenchmarkSpec("whynot", f"{uc.name}.whynot", factory)
-        )
-    return specs
-
-
-def _batch_specs() -> list[BenchmarkSpec]:
-    """The bench_batch workload: one shared evaluation, N questions."""
-    from ..core import NedExplain, canonicalize
-    from ..relational import EvaluationCache
-    from ..workloads import chain_database, chain_predicate, chain_query
-
-    relations, rows = 3, 60
-    database = chain_database(
-        relations, rows_per_relation=rows, fanout=2, seed=7
-    )
-    canonical = canonicalize(chain_query(relations), database.schema)
-    predicates = [f"(R0.label: r0v{i})" for i in range(10)]
-    predicates.append(chain_predicate())
-    predicates.append(f"(R{relations - 1}.label: r{relations - 1}v0)")
-
-    def build() -> Callable[[], object]:
-        cache = EvaluationCache()
-        engine = NedExplain(
-            canonical, database=database, cache=cache
-        )
-        return lambda: engine.explain_many(predicates)
-
-    return [
-        BenchmarkSpec(
-            "batch", f"chain{relations}x{rows}.batched", build
-        )
-    ]
-
-
-def _scaling_specs() -> list[BenchmarkSpec]:
-    """The bench_scaling chain-depth workload (ablation A1)."""
-    from ..core import NedExplain, canonicalize
-    from ..workloads import chain_database, chain_predicate, chain_query
-
-    from ..relational import EvaluationCache
-
-    depth, rows = 5, 120
-    database = chain_database(depth, rows_per_relation=rows)
-    canonical = canonicalize(chain_query(depth), database.schema)
-
-    def build() -> Callable[[], object]:
-        engine = NedExplain(
-            canonical, database=database, cache=EvaluationCache()
-        )
-        return lambda: engine.explain(chain_predicate())
-
-    return [
-        BenchmarkSpec("scaling", f"chain_depth{depth}.ned", build)
-    ]
-
-
-#: suite name -> lazy spec builder (building a suite sets up its
-#: databases, so only selected suites pay that cost)
-SUITES: dict[str, Callable[[], list[BenchmarkSpec]]] = {
-    "usecases": _usecase_specs,
-    "whynot": _whynot_specs,
-    "batch": _batch_specs,
-    "scaling": _scaling_specs,
-}
-
-
 def select_specs(
     suites: Sequence[str] | None = None,
     benchmarks: Sequence[str] | None = None,
@@ -511,6 +425,8 @@ class GateReport:
     calibration_ms: float | None = None
     repeats: int | None = None
     warmup: int | None = None
+    #: the traced counter run of :data:`TRACE_SAMPLE`, when measured
+    trace_sample: dict | None = None
 
     @property
     def exit_code(self) -> int:
@@ -531,6 +447,7 @@ class GateReport:
             "errors": list(self.errors),
             "regressions": [r.name for r in self.regressions],
             "results": [r.to_dict() for r in self.results],
+            "trace_sample": self.trace_sample,
         }
 
     def render(self) -> str:
@@ -543,10 +460,10 @@ class GateReport:
             )
         if self.results:
             lines.append(
-                f"{'benchmark':<28}{'status':<22}{'median':>10}"
+                f"{'benchmark':<36}{'status':<22}{'median':>10}"
                 f"{'baseline*':>11}{'allowed +':>11}"
             )
-            lines.append("-" * 82)
+            lines.append("-" * 90)
             for r in self.results:
                 median = (
                     f"{r.median_ms:.3f}" if r.median_ms is not None
@@ -563,7 +480,7 @@ class GateReport:
                     else "-"
                 )
                 lines.append(
-                    f"{r.suite + ':' + r.name:<28}{r.status:<22}"
+                    f"{r.suite + ':' + r.name:<36}{r.status:<22}"
                     f"{median:>10}{base:>11}{allowed:>11}"
                 )
                 if r.status == "regression-counters":
@@ -587,19 +504,38 @@ def _measure_specs(
     selected: Mapping[str, Sequence[BenchmarkSpec]],
     repeats: int,
     warmup: int,
-) -> dict[str, list[Measurement]]:
-    measured: dict[str, list[Measurement]] = {}
-    for suite, specs in selected.items():
-        measured[suite] = [
-            measure(
-                spec.factory,
-                name=spec.name,
-                repeats=repeats,
-                warmup=warmup,
-            )
-            for spec in specs
-        ]
-    return measured
+) -> tuple[float, dict[str, list[Measurement]]]:
+    """``(host calibration ms, measurements per suite)`` of one
+    interleaved run over every selected benchmark plus the spin."""
+    factories = {CALIBRATION: lambda: _spin}
+    factories.update(
+        (spec.name, spec.factory)
+        for specs in selected.values()
+        for spec in specs
+    )
+    measured = {
+        m.name: m
+        for m in measure_interleaved(
+            factories, repeats=repeats, warmup=warmup
+        )
+    }
+    calibration = measured.pop(CALIBRATION).median_ms
+    return calibration, {
+        suite: [measured[spec.name] for spec in specs]
+        for suite, specs in selected.items()
+    }
+
+
+def trace_sample(measurement: Measurement) -> dict:
+    """A measurement's traced counter run as the records of a
+    ``repro.obs.trace`` JSON-lines file (header, spans, metrics)."""
+    records = trace_records(measurement.tracer)
+    # tags may hold values JSON cannot encode; the JSON-lines writer
+    # stringifies them the same way
+    return {
+        "benchmark": measurement.name,
+        "records": json.loads(json.dumps(records, default=str)),
+    }
 
 
 def run_check(
@@ -637,9 +573,8 @@ def run_check(
             suite: read_suite_baseline(suite, baseline_directory)
             for suite in selected
         }
-        calibration = calibrate()
+        calibration, measured = _measure_specs(selected, repeats, warmup)
         report.calibration_ms = calibration
-        measured = _measure_specs(selected, repeats, warmup)
     except ConfigurationError as exc:
         report.status = "error"
         report.errors.append(str(exc))
@@ -649,6 +584,8 @@ def run_check(
         baseline = suite_baselines[suite]
         ratio = calibration / baseline.calibration_ms
         for measurement in measurements:
+            if measurement.name == TRACE_SAMPLE:
+                report.trace_sample = trace_sample(measurement)
             entry = baseline.entries.get(measurement.name)
             if entry is None:
                 report.results.append(
@@ -659,6 +596,7 @@ def run_check(
                         median_ms=measurement.median_ms,
                         mad_ms=measurement.mad_ms,
                         counters=dict(measurement.counters),
+                        phases_ms=dict(measurement.phases_ms),
                         detail=(
                             "no committed baseline entry; run "
                             "`python -m repro.bench.gate update "
@@ -725,9 +663,8 @@ def run_update(
     )
     try:
         selected = select_specs(suites, benchmarks)
-        calibration = calibrate()
+        calibration, measured = _measure_specs(selected, repeats, warmup)
         report.calibration_ms = calibration
-        measured = _measure_specs(selected, repeats, warmup)
     except ConfigurationError as exc:
         report.status = "error"
         report.errors.append(str(exc))

@@ -1,22 +1,12 @@
-"""Text renderers for the evaluation tables and figures.
-
-Every renderer prints the same rows/series as the paper's artefact:
-
-* :func:`render_table3` / :func:`render_table4` -- the query and use
-  case catalogs;
-* :func:`render_table5` -- Why-Not vs NedExplain answers per use case;
-* :func:`render_fig5`   -- the phase-wise runtime distribution of
-  NedExplain (stacked percentages);
-* :func:`render_fig6`   -- total runtime of both algorithms per use
-  case (the bar chart of Fig. 6 as an aligned table with spark bars).
+"""Text renderer for Table 5: Why-Not vs NedExplain answers per use
+case (``repro.cli evaluate``).  The Fig. 5/6 and ablation tables are
+rendered from a gate report by :mod:`repro.bench.artifacts`.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from ..core.nedexplain import PHASES
-from ..workloads.usecases import QUERIES, USE_CASES, get_canonical
 from .runner import UseCaseResult
 
 
@@ -24,29 +14,6 @@ def _truncate(text: str, width: int) -> str:
     if len(text) <= width:
         return text
     return text[: width - 3] + "..."
-
-
-def render_table3() -> str:
-    """Table 3: the use-case queries and their canonical trees."""
-    lines = ["Table 3: use case relational queries", "=" * 60]
-    for name in sorted(QUERIES, key=lambda q: (len(q), q)):
-        database, _builder = QUERIES[name]
-        canonical = get_canonical(name)
-        lines.append(f"\n{name}  (database: {database})")
-        lines.append(canonical.pretty())
-    return "\n".join(lines)
-
-
-def render_table4() -> str:
-    """Table 4: the use cases (query + Why-Not predicate)."""
-    lines = [
-        "Table 4: use cases",
-        f"{'Use case':<10}{'Query':<7}Predicate",
-        "-" * 70,
-    ]
-    for uc in USE_CASES:
-        lines.append(f"{uc.name:<10}{uc.query:<7}{uc.predicate}")
-    return "\n".join(lines)
 
 
 def render_table5(results: Sequence[UseCaseResult]) -> str:
@@ -73,70 +40,3 @@ def render_table5(results: Sequence[UseCaseResult]) -> str:
             f"{detailed:<46}{condensed:<18}{secondary}"
         )
     return "\n".join(lines)
-
-
-def render_fig5(results: Sequence[UseCaseResult]) -> str:
-    """Fig. 5: phase-wise runtime distribution for NedExplain (%)."""
-    lines = [
-        "Fig. 5: % time distribution over NedExplain phases",
-        f"{'Use case':<10}"
-        + "".join(f"{phase:<18}" for phase in PHASES),
-        "-" * (10 + 18 * len(PHASES)),
-    ]
-    for result in results:
-        total = result.ned.total_time_ms or 1e-9
-        row = f"{result.use_case.name:<10}"
-        for phase in PHASES:
-            share = 100.0 * result.ned.phase_times_ms.get(phase, 0.0) / total
-            row += f"{share:>6.1f}%{'':<11}"
-        lines.append(row)
-    return "\n".join(lines)
-
-
-def render_fig6(results: Sequence[UseCaseResult]) -> str:
-    """Fig. 6: Why-Not vs NedExplain execution time (ms)."""
-    peak = max(
-        [result.ned_total_ms for result in results]
-        + [
-            result.whynot_total_ms
-            for result in results
-            if result.whynot_total_ms is not None
-        ]
-        + [1e-9]
-    )
-
-    def bar(value: float) -> str:
-        width = int(round(28 * value / peak))
-        return "#" * max(width, 1)
-
-    lines = [
-        "Fig. 6: Why-Not and NedExplain execution time",
-        f"{'Use case':<10}{'Why-Not(ms)':>12}{'Ned(ms)':>10}  comparison",
-        "-" * 78,
-    ]
-    for result in results:
-        ned_ms = result.ned_total_ms
-        if result.whynot_total_ms is None:
-            wn_txt = "n.a."
-            wn_bar = ""
-        else:
-            wn_txt = f"{result.whynot_total_ms:.1f}"
-            wn_bar = f"W {bar(result.whynot_total_ms)}"
-        lines.append(
-            f"{result.use_case.name:<10}{wn_txt:>12}{ned_ms:>10.1f}  "
-            f"{wn_bar}"
-        )
-        lines.append(f"{'':<32}  N {bar(ned_ms)}")
-    return "\n".join(lines)
-
-
-def render_all(results: Sequence[UseCaseResult]) -> str:
-    """Every table and figure, concatenated."""
-    return "\n\n".join(
-        (
-            render_table4(),
-            render_table5(results),
-            render_fig5(results),
-            render_fig6(results),
-        )
-    )

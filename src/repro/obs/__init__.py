@@ -41,6 +41,7 @@ from .export import (
     render_trace,
     span_record,
     to_chrome_trace,
+    trace_records,
     write_chrome_trace,
     write_metrics_json,
     write_trace_jsonl,
@@ -94,6 +95,7 @@ __all__ = [
     "span",
     "span_record",
     "to_chrome_trace",
+    "trace_records",
     "tracing",
     "use_clock",
     "write_chrome_trace",

@@ -62,28 +62,32 @@ def span_record(span: Span, epoch: float) -> dict[str, Any]:
     return record
 
 
-def write_trace_jsonl(tracer: Tracer, path: str | Path) -> Path:
-    """Write the JSON-lines trace artifact; returns the path."""
+def trace_records(tracer: Tracer) -> list[dict[str, Any]]:
+    """The records of the JSON-lines trace artifact, in file order: a
+    header, one record per span (start order), a metrics footer."""
     spans = _sorted_spans(tracer)
     epoch = _epoch(spans)
-    target = Path(path)
-    with target.open("w", encoding="utf-8") as handle:
-        header = {
+    return [
+        {
             "kind": "header",
             "format": "repro.obs.trace",
             "version": TRACE_FORMAT_VERSION,
             "spans": len(spans),
-        }
-        handle.write(json.dumps(header) + "\n")
-        for span in spans:
-            handle.write(
-                json.dumps(span_record(span, epoch), default=str) + "\n"
-            )
-        footer = {
-            "kind": "metrics",
-            "metrics": tracer.metrics.snapshot(),
-        }
-        handle.write(json.dumps(footer) + "\n")
+        },
+        *(span_record(span, epoch) for span in spans),
+        {"kind": "metrics", "metrics": tracer.metrics.snapshot()},
+    ]
+
+
+def write_trace_jsonl(tracer: Tracer, path: str | Path) -> Path:
+    """Write the JSON-lines trace artifact; returns the path.
+
+    Span tags JSON cannot encode are written as their ``str()``.
+    """
+    target = Path(path)
+    with target.open("w", encoding="utf-8") as handle:
+        for record in trace_records(tracer):
+            handle.write(json.dumps(record, default=str) + "\n")
     return target
 
 

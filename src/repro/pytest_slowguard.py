@@ -1,9 +1,9 @@
-"""Pytest plugin guarding the ``slow``/``bench`` marker discipline.
+"""Pytest plugin guarding the ``slow`` marker discipline.
 
-Tier-1 (plain ``pytest -x -q``) deselects ``slow``/``bench``-marked
-tests (see ``[tool.pytest.ini_options]`` in ``pyproject.toml``), which
-only keeps the default suite fast if slow tests actually carry the
-marker.  This plugin closes that loop at runtime:
+Tier-1 (plain ``pytest -x -q``) deselects ``slow``-marked tests
+(see ``[tool.pytest.ini_options]`` in ``pyproject.toml``), which only
+keeps the default suite fast if slow tests actually carry the marker.
+This plugin closes that loop at runtime:
 
 * every *unmarked* test whose call phase exceeds
   ``$REPRO_SLOW_TEST_THRESHOLD_S`` (default 5 s) is collected and
@@ -55,9 +55,7 @@ def pytest_runtest_makereport(item, call):
     threshold = _threshold_s()
     if report.duration <= threshold:
         return
-    if item.get_closest_marker("slow") or item.get_closest_marker(
-        "bench"
-    ):
+    if item.get_closest_marker("slow"):
         return
     offenders = getattr(item.config, "_repro_unmarked_slow", None)
     if offenders is not None:
@@ -66,8 +64,8 @@ def pytest_runtest_makereport(item, call):
         report.outcome = "failed"
         report.longrepr = (
             f"{report.nodeid} took {report.duration:.2f}s "
-            f"(> {threshold:g}s) without @pytest.mark.slow or "
-            "@pytest.mark.bench; mark it so tier-1 stays fast "
+            f"(> {threshold:g}s) without @pytest.mark.slow; "
+            "mark it so tier-1 stays fast "
             "(REPRO_ENFORCE_SLOW_MARKERS=1 makes this an error)"
         )
 

@@ -2,9 +2,10 @@
 
 The paper defers "a more extensive study of the impact of various
 parameters on runtime" to future work; this module provides the knobs
-our ablation benchmark (``benchmarks/bench_scaling.py``) turns: the
-three databases at arbitrary scale factors, plus a synthetic chain-join
-workload whose depth and fan-out are fully controllable.
+the ``scaling`` and ``batch`` suites of the benchmark registry
+(:data:`repro.bench.runner.SUITES`) turn: the three databases at
+arbitrary scale factors, plus a synthetic chain-join workload whose
+depth and fan-out are fully controllable.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from repro.core import SPJASpec, JoinPair, canonicalize
 from repro.relational import AggregateCall, Database, attr_cmp
 
 # Marker discipline: flag (and, under REPRO_ENFORCE_SLOW_MARKERS=1,
-# fail) tests that run slow without @pytest.mark.slow/bench.  The
+# fail) tests that run slow without @pytest.mark.slow.  The
 # hooks live in an importable module so test_marker_discipline.py can
 # exercise them in a scratch pytest run.
 from repro.pytest_slowguard import (  # noqa: F401

@@ -27,6 +27,7 @@ from repro.bench.baselines import (
     write_suite_baseline,
 )
 from repro.bench.gate import (
+    CALIBRATION,
     CheckResult,
     Thresholds,
     allowed_regression_ms,
@@ -42,8 +43,14 @@ from repro.bench.gate import (
     run_update,
     select_specs,
 )
-from repro.bench.runner import Measurement, mad, measure, reduce_samples
-from repro.core import NedExplain
+from repro.bench.runner import (
+    SUITES,
+    Measurement,
+    mad,
+    measure,
+    reduce_samples,
+)
+from repro.core import PHASES, NedExplain
 from repro.core.compatibility import CompatibleFinder
 from repro.errors import ConfigurationError
 from repro.robustness.budget import current_context
@@ -540,6 +547,15 @@ class TestSelection:
         assert [s.name for s in bare["usecases"]] == ["Crime5.ned"]
         assert [s.name for s in qualified["usecases"]] == ["Crime5.ned"]
 
+    def test_benchmark_names_are_unique_across_suites(self):
+        # the trajectory and the artifact renderer key results by name
+        names = [
+            spec.name for build in SUITES.values() for spec in build()
+        ]
+        assert len(names) == len(set(names))
+        # the calibration spin runs in the same schedule
+        assert CALIBRATION not in names
+
     def test_calibration_is_positive_and_stable(self):
         first, second = calibrate(repeats=3), calibrate(repeats=3)
         assert first > 0 and second > 0
@@ -557,6 +573,10 @@ GATE_KW = dict(
     repeats=3,
     warmup=1,
 )
+#: Crime5.ned runs in about 1 ms, so the default 0.5 ms floor lets one
+#: host-load spike between recording and re-checking read as a
+#: regression; the 50 ms injected sleep below still clears 10 ms
+CHECK_KW = dict(GATE_KW, thresholds=Thresholds(abs_floor_ms=10.0))
 
 
 @pytest.fixture(scope="module")
@@ -579,7 +599,7 @@ class TestGateEndToEnd:
                 baseline_directory=crime5_baselines,
                 trajectory=trajectory,
                 trajectory_label=f"run-{run}",
-                **GATE_KW,
+                **CHECK_KW,
             )
             assert report.status == "ok", report.render()
             assert report.exit_code == 0
@@ -611,7 +631,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=crime5_baselines,
             trajectory=trajectory,
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.status == "ok", report.render()
         stamped = read_trajectory(trajectory)["entries"][-1]["git_sha"]
@@ -629,7 +649,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=crime5_baselines,
             trajectory=trajectory,
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.status == "ok", report.render()
         entries = read_trajectory(trajectory)["entries"]
@@ -651,7 +671,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=crime5_baselines,
             trajectory=trajectory,
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.status == "regression"
         assert report.exit_code == 1
@@ -675,7 +695,7 @@ class TestGateEndToEnd:
         clean = run_check(
             baseline_directory=crime5_baselines,
             trajectory=trajectory,
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert clean.status == "ok", clean.render()
         assert clean.exit_code == 0
@@ -693,7 +713,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=crime5_baselines,
             trajectory=tmp_path / "BENCH_trajectory.json",
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.exit_code == 1
         (result,) = report.results
@@ -707,7 +727,7 @@ class TestGateEndToEnd:
         clean = run_check(
             baseline_directory=crime5_baselines,
             trajectory=tmp_path / "BENCH_trajectory.json",
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert clean.exit_code == 0, clean.render()
 
@@ -731,7 +751,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=tmp_path / "empty",
             trajectory=tmp_path / "BENCH_trajectory.json",
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.status == "error"
         assert report.exit_code == 2
@@ -751,7 +771,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=stale_dir,
             trajectory=tmp_path / "BENCH_trajectory.json",
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.exit_code == 2
         assert any("stale" in e for e in report.errors)
@@ -764,7 +784,7 @@ class TestGateEndToEnd:
         report = run_check(
             baseline_directory=crime5_baselines,
             trajectory=trajectory,
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.exit_code == 2
         assert any("torn" in e for e in report.errors)
@@ -792,7 +812,7 @@ class TestGateEndToEnd:
             baseline_directory=crime5_baselines,
             trajectory=trajectory,
             append_to_trajectory=False,
-            **GATE_KW,
+            **CHECK_KW,
         )
         assert report.exit_code == 0
         assert not trajectory.exists()
@@ -823,13 +843,32 @@ class TestGateEndToEnd:
             rel_tol=1e-9,
         )
 
+    def test_report_carries_phase_medians_and_trace_sample(
+        self, crime5_baselines, tmp_path
+    ):
+        report = run_check(
+            baseline_directory=crime5_baselines,
+            append_to_trajectory=False,
+            **CHECK_KW,
+        )
+        (result,) = report.results
+        # Fig. 5 comes from the timed repeats, not the traced run
+        assert set(result.phases_ms) == set(PHASES)
+        assert all(ms > 0 for ms in result.phases_ms.values())
+        payload = json.loads(json.dumps(report.to_dict()))
+        sample = payload["trace_sample"]
+        assert sample["benchmark"] == "Crime5.ned"
+        header, *spans, footer = sample["records"]
+        assert header["spans"] == len(spans) > 0
+        assert footer["kind"] == "metrics"
+
     def test_render_names_benchmark_and_status(
         self, crime5_baselines, tmp_path
     ):
         report = run_check(
             baseline_directory=crime5_baselines,
             trajectory=tmp_path / "t.json",
-            **GATE_KW,
+            **CHECK_KW,
         )
         rendered = report.render()
         assert "Crime5.ned" in rendered
@@ -867,6 +906,8 @@ class TestCli:
                 str(report_file),
                 "--label",
                 "cli-test",
+                "--abs-floor-ms",
+                "10",
                 "--json",
             ]
         )
@@ -922,18 +963,15 @@ class TestCli:
 # ---------------------------------------------------------------------------
 @pytest.mark.slow
 def test_full_sweep_update_then_check(tmp_path):
-    """Every suite round-trips through update -> check clean."""
+    """Every suite round-trips through update -> check clean, both at
+    the CLI's default protocol (5 interleaved repeats, one warmup)."""
     directory = tmp_path / "baselines"
-    update = run_update(
-        repeats=2, warmup=0, baseline_directory=directory
-    )
+    update = run_update(baseline_directory=directory)
     assert update.exit_code == 0
     check = run_check(
-        repeats=2,
-        warmup=0,
         baseline_directory=directory,
         trajectory=tmp_path / "BENCH_trajectory.json",
     )
     assert check.exit_code == 0, check.render()
     suites = {result.suite for result in check.results}
-    assert suites == {"usecases", "whynot", "batch", "scaling"}
+    assert suites == set(SUITES)

@@ -1,4 +1,4 @@
-"""The slow/bench marker split that keeps tier-1 fast.
+"""The slow marker split that keeps tier-1 fast.
 
 Three layers are pinned here: the markers are registered and wired
 into ``addopts``; the default collection and the marked collection
@@ -67,40 +67,25 @@ def _collect_ids(extra_args):
 def test_markers_registered(request):
     registered = "\n".join(request.config.getini("markers"))
     assert "slow:" in registered
-    assert "bench:" in registered
 
 
-def test_addopts_deselect_slow_and_bench():
+def test_addopts_deselect_slow():
     text = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
-    assert "not slow and not bench" in text
+    assert "addopts = \"-q -m 'not slow'\"" in text
 
 
 def test_default_and_marked_collections_partition_the_suite():
     tests_dir = str(REPO_ROOT / "tests")
-    bench_dir = str(REPO_ROOT / "benchmarks")
     tier1 = _collect_ids([tests_dir])
-    excluded = _collect_ids(
-        ["-m", "slow or bench", tests_dir, bench_dir]
-    )
-    everything = _collect_ids(["-m", "", tests_dir, bench_dir])
+    excluded = _collect_ids(["-m", "slow", tests_dir])
+    everything = _collect_ids(["-m", "", tests_dir])
     assert tier1, "tier-1 collected nothing"
-    # the slow full-sweep gate test and every benchmark module are
-    # out of tier-1 but reachable through their markers
+    # the slow full-sweep gate test is out of tier-1 but reachable
+    # through its marker
     assert any("test_gate.py" in nodeid for nodeid in excluded)
-    assert any("benchmarks" in nodeid for nodeid in excluded)
     assert tier1.isdisjoint(excluded)
     # nothing falls through the split entirely
     assert tier1 | excluded == everything
-
-
-def test_every_benchmark_module_is_bench_marked():
-    modules = sorted((REPO_ROOT / "benchmarks").glob("bench_*.py"))
-    assert modules
-    for module in modules:
-        assert (
-            "pytestmark = pytest.mark.bench"
-            in module.read_text(encoding="utf-8")
-        ), f"{module.name} is not bench-marked"
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.bench.gate import _batch_specs, _scaling_specs
-from repro.bench.runner import measure, use_case_factory
+from repro.bench.runner import SUITES, measure, use_case_factory
 from repro.workloads import USE_CASES
 
 # Golden work accounting per (use case, algorithm) -- recorded with
@@ -124,6 +123,18 @@ GOLDEN_BATCH = {
     "successors.steps": 34,
 }
 
+#: the same 12 questions, a fresh unshared engine each: the literal
+#: per-question loop re-derives every operator per question
+GOLDEN_INDEPENDENT = {
+    "budget.comparisons": 6448,
+    "budget.rows": 0,
+    "compatible.finds": 12,
+    "successors.blocked": 6,
+    "successors.checks": 2229,
+    "successors.found": 184,
+    "successors.steps": 34,
+}
+
 GOLDEN_SCALING = {
     "budget.comparisons": 1803,
     "budget.rows": 1201,
@@ -157,20 +168,38 @@ def test_golden_use_case_counters(name, algorithm):
     ]
 
 
+def _registry_counters(suite, name):
+    (spec,) = [s for s in SUITES[suite]() if s.name == name]
+    m = measure(spec.factory, name=spec.name, repeats=1, warmup=0)
+    return dict(m.counters)
+
+
 def test_golden_batch_counters():
     """One batched run of 12 questions: exactly one evaluation
     (miss+store), every further question a cache hit."""
-    (spec,) = _batch_specs()
-    m = measure(spec.factory, name=spec.name, repeats=1, warmup=0)
-    assert dict(m.counters) == GOLDEN_BATCH
-    assert m.counters["cache.misses"] == 1
-    assert m.counters["cache.hits"] == m.counters["compatible.finds"] - 1
+    counters = _registry_counters("batch", "chain3x60.batched")
+    assert counters == GOLDEN_BATCH
+    assert counters["cache.misses"] == 1
+    assert counters["cache.hits"] == counters["compatible.finds"] - 1
+
+
+def test_golden_independent_counters():
+    """The same questions answered one fresh engine at a time share
+    no evaluation: the same traversal work, ~2.4x the comparisons."""
+    counters = _registry_counters("batch", "chain3x60.independent")
+    assert counters == GOLDEN_INDEPENDENT
+    for name in ("compatible.finds", "successors.checks"):
+        assert counters[name] == GOLDEN_BATCH[name]
+    assert counters["budget.comparisons"] > 2 * GOLDEN_BATCH[
+        "budget.comparisons"
+    ]
 
 
 def test_golden_scaling_counters():
-    (spec,) = _scaling_specs()
-    m = measure(spec.factory, name=spec.name, repeats=1, warmup=0)
-    assert dict(m.counters) == GOLDEN_SCALING
+    assert (
+        _registry_counters("scaling", "chain_depth5.ned")
+        == GOLDEN_SCALING
+    )
 
 
 def test_counters_deterministic_across_all_use_cases():
